@@ -44,13 +44,29 @@ from .core.configs import ConfigSpace
 from .core.costmodel import CostModel
 from .core.exceptions import SearchResourceError
 from .core.graph import CompGraph
-from .core.machine import GTX1080TI, MachineSpec
+from .core.machine import GTX1080TI, MACHINES, MachineSpec
 from .core.strategy import FrontierPoint, SearchResult, Strategy
 from .runtime.context import RunContext
 from .runtime.run import RunOutcome, execute_search
 
 __all__ = ["Problem", "RunContext", "RunOutcome", "FrontierPoint",
            "search", "select_point", "simulate"]
+
+
+def _resolve_machine(machine: "MachineSpec | str") -> MachineSpec:
+    """A `MachineSpec` as given, or the registered machine of that name."""
+    if isinstance(machine, MachineSpec):
+        return machine
+    if isinstance(machine, str):
+        try:
+            return MACHINES[machine]
+        except KeyError:
+            raise ValueError(
+                f"unknown machine {machine!r}; expected one of "
+                f"{sorted(MACHINES)}") from None
+    raise TypeError(
+        f"machine must be a MachineSpec or one of {sorted(MACHINES)}, "
+        f"got {type(machine).__name__}")
 
 
 @dataclass(frozen=True)
@@ -65,16 +81,21 @@ class Problem:
         Per-node configuration space (determines ``p`` and the
         enumeration mode).
     machine:
-        Hardware model used for costs and simulation.
+        Hardware model used for costs and simulation: a `MachineSpec`
+        or a name from `repro.core.machine.MACHINES` (``"1080ti"``,
+        ``"2080ti"``), resolved on construction.
     """
 
     graph: CompGraph
     space: ConfigSpace
     machine: MachineSpec = GTX1080TI
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "machine", _resolve_machine(self.machine))
+
     @classmethod
     def from_benchmark(cls, name: str, p: int, *,
-                       machine: MachineSpec = GTX1080TI,
+                       machine: "MachineSpec | str" = GTX1080TI,
                        mode: str = "pow2") -> "Problem":
         """Instantiate a zoo benchmark (``repro.models.BENCHMARKS``).
 
@@ -96,7 +117,7 @@ class Problem:
 
     @classmethod
     def from_graph(cls, graph: CompGraph, p: int, *,
-                   machine: MachineSpec = GTX1080TI,
+                   machine: "MachineSpec | str" = GTX1080TI,
                    mode: str = "pow2") -> "Problem":
         """Bind a hand-built `CompGraph` to ``p`` devices."""
         return cls(graph=graph,

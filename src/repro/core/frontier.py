@@ -30,8 +30,17 @@ of its dependent set ``D(i)`` — ``offsets [cells+1]``, per-point
 and one back-pointer column per consumed child (the point index inside
 the child's projected cell).  Children are merged one at a time as a
 per-cell Minkowski sum followed by a grouped Pareto prune, all
-vectorized (`pareto_prune` is a lexsort plus one segmented running-min
-— no Python-level per-cell loop).
+vectorized, with no Python-level per-cell loop and no sort:
+
+* the prune peels (`_peel`): each round takes every group's min-cost
+  point with segmented minima and drops all it dominates, so successive
+  rounds yield each group's frontier in cost order, laid out by
+  (group, round);
+* each chunk of a merge is built the cheapest way its cells allow —
+  one point on both sides is the scalar DP's add (`_chunk_dense`);
+  otherwise every pair is expanded (`_chunk_generic`), and where one
+  side is a singleton each cell is a presorted run, pruned in one pass
+  when groups are cells (`_prune_runs`).
 
 Memory is accounted against the same byte budget as the scalar DP and
 exceeded budgets raise `SearchResourceError` (Table I's "OOM").
@@ -58,8 +67,7 @@ from .strategy import FrontierPoint, SearchResult, Strategy
 from ._tensorops import aligned_term
 
 __all__ = ["Objective", "parse_objective", "find_frontier_strategy",
-           "pareto_prune", "brute_force_frontier", "memory_tables",
-           "strategy_peak_bytes"]
+           "pareto_prune", "memory_tables", "strategy_peak_bytes"]
 
 
 @dataclass(frozen=True)
@@ -170,9 +178,8 @@ def pareto_prune(gid: np.ndarray, cost: np.ndarray, mem: np.ndarray, *,
     is the bucket's min-cost one, and each group's overall min-cost
     point is always exact.
 
-    Exact in every float comparison: the segmented running-min runs on
-    dense integer ranks of ``mem``, so no group-offset arithmetic ever
-    perturbs a comparison.
+    Exact in every float comparison: the prune only compares input
+    values (`_peel` below), never sorts or offsets them.
     """
     n = int(cost.shape[0])
     if n == 0:
@@ -180,83 +187,158 @@ def pareto_prune(gid: np.ndarray, cost: np.ndarray, mem: np.ndarray, *,
     gid = np.asarray(gid, dtype=np.int64)
     if n > 1 and np.any(gid[1:] < gid[:-1]):
         raise ValueError("pareto_prune requires nondecreasing group ids")
-
-    # O(n) pre-filter, no sort: each group's min-cost point (min-memory
-    # among its cost ties, value (gmin, m*)) dominates every point with
-    # mem >= m* other than its own exact duplicates.  Survivors are the
-    # actual frontier candidates — typically a tiny fraction — and only
-    # they pay the exact sort-based prune below.
     gstart = np.empty(n, dtype=bool)
     gstart[0] = True
     gstart[1:] = gid[1:] != gid[:-1]
-    starts = np.flatnonzero(gstart)
-    counts = np.diff(np.append(starts, n))
-    gmin = np.minimum.reduceat(cost, starts)
-    on_min = cost == np.repeat(gmin, counts)
-    m_star = np.minimum.reduceat(np.where(on_min, mem, np.inf), starts)
-    m_star_p = np.repeat(m_star, counts)
-    cand = (mem < m_star_p) | (on_min & (mem == m_star_p))
-    idx0 = np.flatnonzero(cand)
-    if idx0.shape[0] == starts.shape[0]:
-        # Exactly one candidate per group: already the frontier, already
-        # in canonical (group, cost) order — and trivially eps-coarse.
-        return idx0
+    return _peel(np.flatnonzero(gstart), cost, mem, eps=eps)
 
-    g2 = gid[idx0]
-    c2 = cost[idx0]
-    m2 = mem[idx0]
-    k = int(idx0.shape[0])
-    # For nonnegative floats the IEEE bit pattern is order- (and
-    # equality-) preserving as int64, and numpy's stable sort on int64
-    # is a radix sort — much faster than float mergesort.  ``+ 0.0``
-    # normalizes -0.0; fall back to float keys on negative input.
-    if np.min(c2) >= 0.0 and np.min(m2) >= 0.0:
-        ck = (c2 + 0.0).view(np.int64)
-        mk = (m2 + 0.0).view(np.int64)
+
+def _peel_round(starts: np.ndarray, counts: "np.ndarray | int",
+                cost: np.ndarray, mem: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """One peeling round over contiguous groups of ``counts`` points
+    beginning at ``starts`` (an int ``counts``: every group that size).
+
+    Returns each group's pick — its min-cost point, min memory among
+    exact cost ties, earliest index among exact pairs — and the mask of
+    points strictly below the pick's memory (the only ones a later
+    round can keep).
+    """
+    n = cost.shape[0]
+    n_groups = starts.shape[0]
+    if n_groups == n:
+        return np.arange(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    if isinstance(counts, int):
+        shape = (n_groups, counts)
+
+        def spread(v):
+            return v[:, None]
     else:
-        ck, mk = c2, m2
-    # Stable (group, cost, mem) order built as three composed stable
-    # argsorts — exactly np.lexsort((mk, ck, g2)), but the dense memory
-    # ranks fall out of the first pass for free.  Exact ties keep
-    # ascending original index, so within a group the first point is
-    # its min-cost point and a cost-tie class leads with its min-memory
-    # member (the forward scan drops the rest).
-    o1 = np.argsort(mk, kind="stable")
-    ms = mk[o1]
-    ranks = np.empty(k, dtype=np.int64)
-    step = np.empty(k, dtype=np.int64)
-    step[0] = 0
-    np.cumsum(ms[1:] != ms[:-1], out=step[1:])
-    ranks[o1] = step
-    o2 = o1[np.argsort(ck[o1], kind="stable")]
-    order = o2[np.argsort(g2[o2], kind="stable")]
-    g = g2[order]
-    g2start = np.empty(k, dtype=bool)
-    g2start[0] = True
-    g2start[1:] = g[1:] != g[:-1]
-    gdense = np.cumsum(g2start) - 1
-    ngroups = int(gdense[-1]) + 1
-    # Encode (group, mem rank) so a single running min is a *segmented*
-    # one: strictly decreasing per-group offsets make every
-    # earlier-group value larger than any current-group value.
-    base = np.int64(k + 1)
-    enc = ranks[order] + (np.int64(ngroups) - 1 - gdense) * base
-    run = np.minimum.accumulate(enc)
-    keep = np.empty(k, dtype=bool)
-    keep[0] = True
-    keep[1:] = enc[1:] < run[:-1]
+        shape = (n,)
+
+        def spread(v):
+            return np.repeat(v, counts)
+    gmin = np.minimum.reduceat(cost, starts)
+    on_min = np.flatnonzero(cost.reshape(shape) == spread(gmin))
+    if on_min.shape[0] == n_groups:
+        picks = on_min
+        m_star = mem[on_min]
+    else:
+        # Some group ties on cost: reduce memory over the tied points.
+        first = np.searchsorted(on_min, starts)
+        m_on = mem[on_min]
+        m_star = np.minimum.reduceat(m_on, first)
+        hits = on_min[m_on == np.repeat(
+            m_star, np.diff(first, append=on_min.shape[0]))]
+        picks = (hits if hits.shape[0] == n_groups
+                 else hits[np.searchsorted(hits, starts)])
+    return picks, (mem.reshape(shape) < spread(m_star)).reshape(-1)
+
+
+def _peel(starts: np.ndarray, cost: np.ndarray, mem: np.ndarray, *,
+          eps: float, size: int = 0) -> np.ndarray:
+    """Grouped exact Pareto prune by repeated segmented minima.
+
+    Groups are contiguous and begin at ``starts`` (``size > 0``: every
+    group has exactly that many points).  Round ``r`` takes each
+    group's pick among its remaining points (`_peel_round`), then drops
+    every point with memory ``>=`` the pick's: what is left is exactly
+    what the pick does not dominate, so the picks of successive rounds
+    are the group's frontier in ascending cost.  Survivors are placed
+    by (group, round) — a group's frontier size is the number of rounds
+    it took part in — so the output needs no sort.  Round one runs over
+    every point (the O(n) pre-filter); later rounds only over the
+    shrinking remainder, compacted in place order.
+    """
+    n_groups = starts.shape[0]
+    counts = size or np.diff(starts, append=cost.shape[0])
+    first, below = _peel_round(starts, counts, cost, mem)
+    rest = np.flatnonzero(below)
+    if rest.shape[0] == 0:
+        return first
+    rounds = [(first, np.arange(n_groups, dtype=np.int64))]
+    c = cost[rest]
+    m = mem[rest]
+    while rest.shape[0]:
+        counts, starts, grp = _live_groups(below, starts, rounds[-1][1])
+        picks, below = _peel_round(starts, counts, c, m)
+        rounds.append((rest[picks], grp))
+        rest, c, m = rest[below], c[below], m[below]
+    out, per_group = _place(rounds, n_groups)
     if eps > 0.0:
-        kidx = np.flatnonzero(keep)
-        km = m2[order[kidx]]
-        kg = gdense[kidx]
-        bucket = np.floor(np.log(np.maximum(km, 1.0))
-                          / math.log1p(eps)).astype(np.int64)
-        first = np.empty(kidx.shape[0], dtype=bool)
-        first[0] = True
-        first[1:] = (kg[1:] != kg[:-1]) | (bucket[1:] != bucket[:-1])
-        keep = np.zeros(k, dtype=bool)
-        keep[kidx[first]] = True
-    return idx0[order[keep]]
+        out = out[_coarsen_mask(mem[out], per_group, eps)]
+    return out
+
+
+def _prune_runs(starts: np.ndarray, cost: np.ndarray, mem: np.ndarray, *,
+                eps: float) -> np.ndarray:
+    """`_peel`'s result when each group is one presorted run.
+
+    A run is a frontier shifted by a constant: cost nondecreasing and
+    memory nonincreasing, strict order lost only where the shift rounds
+    neighbours together.  A point then survives exactly when its memory
+    is below its predecessor's in the group and no later point of its
+    exact-cost tie has less memory — one pass, no rounds.
+    """
+    n = cost.shape[0]
+    head = np.zeros(n, dtype=bool)
+    head[starts] = True
+    keep = head.copy()
+    keep[1:] |= mem[1:] != mem[:-1]
+    tied = head.copy()
+    tied[1:] |= cost[1:] != cost[:-1]
+    if not tied.all():
+        # Rare: some exact-cost tie runs; each keeps at most its last
+        # (min-memory) value.
+        tie_end = np.append(np.flatnonzero(tied[1:]), n - 1)
+        keep &= mem == mem[tie_end][np.cumsum(tied) - 1]
+    kept = np.flatnonzero(keep)
+    if eps > 0.0:
+        size = np.add.reduceat(keep, starts, dtype=np.int64)
+        kept = kept[_coarsen_mask(mem[kept], size, eps)]
+    return kept
+
+
+def _live_groups(alive: np.ndarray, starts: np.ndarray, grp: np.ndarray):
+    """Regroup the points still ``alive``: per surviving group its new
+    count and start in the compacted arrays, and its group id."""
+    counts = np.add.reduceat(alive, starts, dtype=np.int64)
+    live = counts > 0
+    counts = counts[live]
+    return counts, np.cumsum(counts) - counts, grp[live]
+
+
+def _place(rounds: list[tuple[np.ndarray, np.ndarray]], n_groups: int,
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Lay per-round picks out by (group, round), without a sort.
+
+    ``rounds[r]`` is ``(picks, groups)``: round ``r``'s picks and the
+    ascending groups that made them.  Round 0 covers every group and a
+    group picks in each round until it runs out, so a pick's slot is
+    its group's base plus ``r``.  Returns the placed picks and each
+    group's pick count.
+    """
+    size = np.bincount(np.concatenate([grp for _, grp in rounds]),
+                       minlength=n_groups)
+    base = np.cumsum(size) - size
+    out = np.empty(int(base[-1] + size[-1]), dtype=np.int64)
+    for r, (picks, grp) in enumerate(rounds):
+        out[base[grp] + r] = picks
+    return out, size
+
+
+def _coarsen_mask(mem: np.ndarray, size: np.ndarray, eps: float,
+                  ) -> np.ndarray:
+    """``eps`` coarsening of placed frontiers (``size`` points per group,
+    memory strictly decreasing): keep the first — min-cost — point of
+    each run of equal geometric memory bucket ``(1 + eps)``."""
+    og = np.repeat(np.arange(size.shape[0], dtype=np.int64), size)
+    bucket = np.floor(np.log(np.maximum(mem, 1.0))
+                      / math.log1p(eps)).astype(np.int64)
+    keep = np.empty(mem.shape[0], dtype=bool)
+    keep[0] = True
+    keep[1:] = (og[1:] != og[:-1]) | (bucket[1:] != bucket[:-1])
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -339,52 +421,79 @@ def _accumulate_terms(terms, full_axes: tuple[int, ...],
         out.fill(0.0)
 
 
+@dataclass(frozen=True)
+class _MergeInputs:
+    """What a merge chunk reads: both sides' points per full cell."""
+
+    offsets: np.ndarray       # accumulated side CSR offsets
+    cost_a: np.ndarray
+    mem_a: np.ndarray
+    counts_a: "np.ndarray | None"  # accumulated points per full cell
+    counts_b: "np.ndarray | None"  # child points per full cell; both
+    #                                None when every cell is dense
+    child_start: np.ndarray   # first child point per full cell
+    child_cost: np.ndarray
+    child_mem: np.ndarray
+    pair_off: np.ndarray      # candidate offsets per full cell
+    group_size: int           # K when fused, else 0 (group = cell)
+    eps: float
+    prune: bool
+
+
 def _merge_child(acc, child_offsets: np.ndarray, child_cost: np.ndarray,
                  child_mem: np.ndarray, proj: np.ndarray, *, eps: float,
-                 pair_chunk: int, ledger: _Ledger,
-                 group_of_cell: np.ndarray | None = None,
-                 group_size: int = 1,
-                 n_groups: int = 0,
-                 k_of_cell: np.ndarray | None = None):
+                 pair_chunk: int, ledger: _Ledger, group_size: int = 0):
     """Minkowski-sum one child into the accumulated point set, pruned.
 
     ``acc`` is ``(offsets, cost, mem, childpt)`` CSR over the parent's
     full cells; the child's cell per full cell is ``proj``.  Candidate
     order within a cell is (accumulated point asc, child point asc) —
     both sides are cost-sorted, so the (0, 0) combination is the
-    min-cost candidate and the stable prune keeps it first (float
-    addition is monotone), preserving the scalar DP's accumulation.
+    min-cost candidate and the prune keeps it first (float addition is
+    monotone), preserving the scalar DP's accumulation.
 
-    Fast path: when either side is a singleton in every cell (and no
-    coarsening is requested), the sum is one frontier shifted by a
-    constant — already non-dominated and cost-sorted — so the prune is
-    skipped entirely.
+    When either side is a singleton in every cell (and no coarsening is
+    requested), the sum is one frontier shifted by a constant — already
+    non-dominated and cost-sorted — so the prune is skipped entirely.
 
-    Fused candidate-axis reduction: with ``group_of_cell`` set (the
+    Fused candidate-axis reduction: with ``group_size`` K set (the
     parent's last child merge), the prune groups by the *dependent-set*
-    cell — each run of ``group_size`` consecutive full cells — instead
-    of the full cell, performing the DP's reduction over the vertex's
-    own configuration axis in the same pass.  The returned CSR is then
-    over the ``n_groups`` dependent-set cells and a fifth array gives
-    each point's own-config index (``k_of_cell`` gathered).
+    cell — each run of K consecutive full cells — instead of the full
+    cell, performing the DP's reduction over the vertex's own
+    configuration axis in the same pass.  The returned CSR is then over
+    the dependent-set cells and a fifth array gives each point's
+    own-configuration index.
+
+    Cells are processed in chunks of about ``pair_chunk`` candidates
+    (never splitting a group), each built the cheapest way its shape
+    allows: `_chunk_dense` when both sides hold one point per cell,
+    `_chunk_generic` otherwise.
     """
     offsets, cost_a, mem_a, childpt = acc
     n_cells = offsets.shape[0] - 1
-    counts_a = np.diff(offsets)
-    counts_b = np.diff(child_offsets)[proj]
-    pair = counts_a * counts_b
-    pair_off = np.zeros(n_cells + 1, dtype=np.int64)
-    np.cumsum(pair, out=pair_off[1:])
-    fused = group_of_cell is not None
-    skip_prune = (not fused and eps == 0.0
-                  and (int(counts_a.max(initial=0)) <= 1
-                       or int(counts_b.max(initial=0)) <= 1))
+    fused = group_size > 0
+    # Every cell holds at least one point, so a side's total says
+    # whether all of its cells are singletons.
+    if (int(offsets[-1]) == n_cells
+            and int(child_offsets[-1]) == child_offsets.shape[0] - 1):
+        counts_a = counts_b = None
+        child_start = proj
+        pair_off = np.arange(n_cells + 1, dtype=np.int64)
+        prune = fused or eps > 0.0
+    else:
+        counts_a = np.diff(offsets)
+        counts_b = np.diff(child_offsets)[proj]
+        child_start = child_offsets[proj]
+        pair_off = np.zeros(n_cells + 1, dtype=np.int64)
+        np.cumsum(counts_a * counts_b, out=pair_off[1:])
+        prune = (fused or eps > 0.0
+                 or (int(counts_a.max(initial=0)) > 1
+                     and int(counts_b.max(initial=0)) > 1))
+    inputs = _MergeInputs(offsets, cost_a, mem_a, counts_a, counts_b,
+                          child_start, child_cost, child_mem, pair_off,
+                          group_size, eps, prune)
 
-    out_cost: list[np.ndarray] = []
-    out_mem: list[np.ndarray] = []
-    out_childpt: list[np.ndarray] = []
-    out_cells: list[np.ndarray] = []
-    out_k: list[np.ndarray] = []
+    parts = []
     start = 0
     while start < n_cells:
         end = int(np.searchsorted(pair_off, pair_off[start] + pair_chunk,
@@ -395,60 +504,109 @@ def _merge_child(acc, child_offsets: np.ndarray, child_cost: np.ndarray,
             end = min(n_cells, max(start + group_size,
                                    (end // group_size) * group_size))
         total = int(pair_off[end] - pair_off[start])
-        # Transient per candidate: cost+mem (16) + index arrays (~56).
+        # Transient per candidate: cost+mem (16) + index arrays (~56);
+        # the dense construction needs less but is charged the same.
         ledger.check(total * 72, "a frontier merge chunk")
-        # Candidate construction by repeats (no integer div/mod): each
-        # accumulated point of the chunk expands to its cell's
-        # child-point count, child points in ascending local order.
-        cell_of_a = np.repeat(np.arange(start, end, dtype=np.int64),
-                              counts_a[start:end])
-        cbp = counts_b[cell_of_a]
-        n_a = cell_of_a.shape[0]
-        bs = np.zeros(n_a, dtype=np.int64)
-        np.cumsum(cbp[:-1], out=bs[1:])
-        b_local = np.arange(total, dtype=np.int64) - np.repeat(bs, cbp)
-        a0, a1 = int(offsets[start]), int(offsets[end])
-        a_idx = np.repeat(np.arange(a0, a1, dtype=np.int64), cbp)
-        b_idx = np.repeat(child_offsets[proj[cell_of_a]], cbp) + b_local
-        ncost = np.repeat(cost_a[a0:a1], cbp) + child_cost[b_idx]
-        nmem = np.repeat(mem_a[a0:a1], cbp) + child_mem[b_idx]
-        cell_of = np.repeat(cell_of_a, cbp)
-        if skip_prune:
-            out_cost.append(ncost)
-            out_mem.append(nmem)
-            out_childpt.append(np.concatenate(
-                [childpt[a_idx], b_local[:, None].astype(np.int32)], axis=1))
-            out_cells.append(cell_of)
-        else:
-            gid = group_of_cell[cell_of] if fused else cell_of
-            kept = pareto_prune(gid, ncost, nmem, eps=eps)
-            out_cost.append(ncost[kept])
-            out_mem.append(nmem[kept])
-            out_childpt.append(np.concatenate(
-                [childpt[a_idx[kept]], b_local[kept, None].astype(np.int32)],
-                axis=1))
-            if fused:
-                out_cells.append(gid[kept])
-                out_k.append(k_of_cell[cell_of[kept]])
-            else:
-                out_cells.append(cell_of[kept])
+        chunk = _chunk_dense if total == end - start else _chunk_generic
+        parts.append(chunk(inputs, start, end))
         start = end
+    return _assemble(parts, childpt, n_cells, group_size)
 
-    n_out = n_groups if fused else n_cells
-    cost_n = np.concatenate(out_cost) if out_cost else np.empty(0)
-    mem_n = np.concatenate(out_mem) if out_mem else np.empty(0)
-    childpt_n = (np.concatenate(out_childpt)
-                 if out_childpt else np.empty((0, childpt.shape[1] + 1),
-                                              dtype=np.int32))
-    cells_n = (np.concatenate(out_cells)
-               if out_cells else np.empty(0, dtype=np.int64))
-    off_n = np.zeros(n_out + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cells_n, minlength=n_out), out=off_n[1:])
-    if fused:
-        k_n = (np.concatenate(out_k) if out_k
-               else np.empty(0, dtype=np.int32))
-        return off_n, cost_n, mem_n, childpt_n, k_n
-    return off_n, cost_n, mem_n, childpt_n
+
+def _assemble(parts, childpt: np.ndarray, n_cells: int, group_size: int):
+    """The merged CSR from the chunks' ``(cost, mem, a_idx, b_local,
+    cell)`` kept candidates, in chunk order."""
+    cost, mem, a_idx, b_local, cell = (
+        col[0] if len(col) == 1 else np.concatenate(col)
+        for col in zip(*parts))
+    width = childpt.shape[1]
+    childpt_n = np.empty((a_idx.shape[0], width + 1), dtype=np.int32)
+    childpt_n[:, :width] = childpt[a_idx]
+    childpt_n[:, width] = b_local
+    if group_size:
+        n_groups = n_cells // group_size
+        off = np.zeros(n_groups + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cell // group_size, minlength=n_groups),
+                  out=off[1:])
+        return (off, cost, mem, childpt_n,
+                (cell % group_size).astype(np.int32))
+    off = np.zeros(n_cells + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell, minlength=n_cells), out=off[1:])
+    return off, cost, mem, childpt_n
+
+
+def _chunk_dense(inp: _MergeInputs, start: int, end: int):
+    """Cells ``[start, end)`` where both sides hold exactly one point.
+
+    The Minkowski sum is the scalar DP's add, one candidate per cell,
+    with no expansion; a fused merge then reduces each dependent-set
+    cell's K candidates as fixed-size groups.  Returns ``(cost, mem,
+    a_idx, b_local, cell)`` of the kept candidates, like
+    `_chunk_generic`.
+    """
+    n = end - start
+    a0 = int(inp.offsets[start])
+    b = inp.child_start[start:end]
+    cost = inp.cost_a[a0:a0 + n] + inp.child_cost[b]
+    mem = inp.mem_a[a0:a0 + n] + inp.child_mem[b]
+    if inp.group_size:
+        K = inp.group_size
+        kept = _peel(np.arange(0, n, K, dtype=np.int64), cost, mem,
+                     eps=inp.eps, size=K)
+        cost, mem = cost[kept], mem[kept]
+    else:
+        # One candidate per group: any prune keeps every one.
+        kept = np.arange(n, dtype=np.int64)
+    return (cost, mem, a0 + kept, np.zeros(kept.shape[0], dtype=np.int64),
+            start + kept)
+
+
+def _chunk_generic(inp: _MergeInputs, start: int, end: int):
+    """Cells ``[start, end)`` of any shape: expand every (accumulated
+    point, child point) pair of each cell, then prune.
+
+    Candidates are built by repeats (no integer div/mod); only the kept
+    ones are traced back to their accumulated point, child point and
+    cell.  Where one side of every cell is a singleton and groups are
+    cells, each group is one presorted run (`_prune_runs`).
+    """
+    a0, a1 = int(inp.offsets[start]), int(inp.offsets[end])
+    total = int(inp.pair_off[end] - inp.pair_off[start])
+    if a1 - a0 == end - start:
+        # One accumulated point per cell: its candidates start where
+        # the cell's do.
+        cell_a = np.arange(start, end, dtype=np.int64)
+        cbp = inp.counts_b[start:end]
+        bs = inp.pair_off[start:end] - inp.pair_off[start]
+    else:
+        cell_a = np.repeat(np.arange(start, end, dtype=np.int64),
+                           inp.counts_a[start:end])
+        cbp = inp.counts_b[cell_a]
+        bs = np.zeros(cell_a.shape[0], dtype=np.int64)
+        np.cumsum(cbp[:-1], out=bs[1:])
+    b_idx = np.repeat(inp.child_start[cell_a] - bs, cbp)
+    b_idx += np.arange(total, dtype=np.int64)
+    cost = np.repeat(inp.cost_a[a0:a1], cbp)
+    cost += inp.child_cost[b_idx]
+    mem = np.repeat(inp.mem_a[a0:a1], cbp)
+    mem += inp.child_mem[b_idx]
+    del b_idx  # dead: keep it out of the prune's peak
+    kept = np.arange(total, dtype=np.int64)
+    if inp.prune:
+        starts = (inp.pair_off[start:end:inp.group_size or 1]
+                  - inp.pair_off[start])
+        if not inp.group_size and np.all(np.minimum(
+                inp.counts_a[start:end], inp.counts_b[start:end]) == 1):
+            kept = _prune_runs(starts, cost, mem, eps=inp.eps)
+        else:
+            kept = _peel(starts, cost, mem, eps=inp.eps)
+        cost, mem = cost[kept], mem[kept]
+    # Each kept candidate's accumulated point, expanded like the
+    # candidates (cheaper than a binary search once many are kept).
+    t = np.repeat(np.arange(cell_a.shape[0], dtype=np.int64), cbp)
+    if inp.prune:
+        t = t[kept]
+    return cost, mem, a0 + t, kept - bs[t], cell_a[t]
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +766,7 @@ def find_frontier_strategy(
                         merged = _merge_child(
                             acc, rec.offsets, rec.cost, rec.mem, proj,
                             eps=eps, pair_chunk=chunk_cells, ledger=ledger,
-                            group_of_cell=np.repeat(
-                                np.arange(table_cells, dtype=np.int64), K),
-                            group_size=K, n_groups=table_cells,
-                            k_of_cell=np.tile(
-                                np.arange(K, dtype=np.int32), table_cells))
+                            group_size=K)
                         acc = merged[:4]
                         k_arr = merged[4]
                     else:
@@ -633,22 +787,16 @@ def find_frontier_strategy(
                     # No children: reduce the seed directly — union the K
                     # per-cell singletons of each dependent-set cell.
                     offsets, cost_a, mem_a, childpt = acc
-                    counts = np.diff(offsets)
-                    k_of = np.repeat(
-                        np.tile(np.arange(K, dtype=np.int32), table_cells),
-                        counts)
-                    gid = np.repeat(
-                        np.arange(table_cells, dtype=np.int64),
-                        counts.reshape(table_cells, K).sum(axis=1))
-                    kept = pareto_prune(gid, cost_a, mem_a, eps=eps)
+                    kept = _peel(np.arange(0, n_full, K, dtype=np.int64),
+                                 cost_a, mem_a, eps=eps, size=K)
                     rec_off = np.zeros(table_cells + 1, dtype=np.int64)
-                    np.cumsum(np.bincount(gid[kept], minlength=table_cells),
+                    np.cumsum(np.bincount(kept // K, minlength=table_cells),
                               out=rec_off[1:])
                     rec = _PointRecord(
                         axes=dep, offsets=rec_off,
                         cost=np.ascontiguousarray(cost_a[kept]),
                         mem=np.ascontiguousarray(mem_a[kept]),
-                        k=np.ascontiguousarray(k_of[kept]),
+                        k=(kept % K).astype(np.int32),
                         childpt=np.ascontiguousarray(childpt[kept]),
                         children=children)
                 else:
@@ -768,34 +916,3 @@ def _expand_frontier_result(red, inner: SearchResult, *,
         method=f"{inner.method}+reduce", stats=dict(inner.stats),
         frontier=tuple(points))
     return lifted.with_stats(**red.stats)
-
-
-def brute_force_frontier(graph: CompGraph, space: ConfigSpace,
-                         tables: CostTables, *,
-                         mem_tables: "Mapping[str, np.ndarray] | None" = None,
-                         ) -> tuple[FrontierPoint, ...]:
-    """Exhaustive (cost, peak-bytes) frontier — the test oracle.
-
-    Enumerates every strategy of the space (exponential: small graphs
-    only), prices each with `CostTables.strategy_cost` and the memory
-    tables, and prunes to the non-dominated set.
-    """
-    import itertools
-
-    if mem_tables is None:
-        mem_tables = memory_tables(graph, space)
-    names = list(space.tables)
-    sizes = [space.size(nm) for nm in names]
-    combos = list(itertools.product(*[range(s) for s in sizes]))
-    costs = np.empty(len(combos), dtype=np.float64)
-    mems = np.empty(len(combos), dtype=np.float64)
-    for t, combo in enumerate(combos):
-        idx = dict(zip(names, combo))
-        costs[t] = tables.strategy_cost(idx)
-        mems[t] = sum(float(mem_tables[nm][k]) for nm, k in idx.items())
-    kept = pareto_prune(np.zeros(len(combos), dtype=np.int64), costs, mems)
-    return tuple(
-        FrontierPoint(cost=float(costs[j]), peak_bytes=float(mems[j]),
-                      strategy=Strategy.from_indices(
-                          space, dict(zip(names, combos[j]))))
-        for j in kept)

@@ -22,9 +22,10 @@ from hypothesis import strategies as st
 from repro.core.configs import ConfigSpace
 from repro.core.costmodel import CostModel
 from repro.core.dp import find_best_strategy
+import repro.core.frontier as frontier_mod
+from repro.core.exceptions import SearchResourceError
 from repro.core.frontier import (
     Objective,
-    brute_force_frontier,
     find_frontier_strategy,
     memory_tables,
     parse_objective,
@@ -34,6 +35,7 @@ from repro.core.frontier import (
 from repro.core.machine import GTX1080TI
 from repro.core.strategy import FrontierPoint
 from tests.conftest import build_dag, small_dags
+from tests.core.frontier_oracles import brute_force_frontier, sort_pareto_prune
 
 
 def setup(graph, p=4, machine=GTX1080TI, mode="all"):
@@ -188,6 +190,95 @@ class TestParetoPrune:
                 assert len(np.unique(buckets)) == len(gk)
 
 
+@st.composite
+def parity_inputs(draw):
+    """Grouped points mixing exact ties on both axes, duplicates, -0.0,
+    negative values and large magnitudes."""
+    n_groups = draw(st.integers(min_value=1, max_value=5))
+    vals = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, -1.0, -2.5,
+                            1e9, 3e9, 7.5e11])
+    gid, cost, mem = [], [], []
+    for g in range(n_groups):
+        size = draw(st.integers(min_value=0, max_value=10))
+        for _ in range(size):
+            gid.append(g)
+            cost.append(draw(vals))
+            mem.append(draw(vals))
+        if size and draw(st.booleans()):
+            # An exact duplicate of one of the group's points.
+            j = draw(st.integers(min_value=len(cost) - size,
+                                 max_value=len(cost) - 1))
+            gid.append(g)
+            cost.append(cost[j])
+            mem.append(mem[j])
+    return (np.array(gid, dtype=np.int64), np.array(cost), np.array(mem))
+
+
+@st.composite
+def presorted_runs(draw):
+    """Groups that are each one frontier shifted by a constant: cost
+    nondecreasing, memory nonincreasing, with exact ties on both."""
+    n_groups = draw(st.integers(min_value=1, max_value=5))
+    gid, cost, mem = [], [], []
+    for g in range(n_groups):
+        size = draw(st.integers(min_value=1, max_value=8))
+        cs = sorted(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0]),
+                                  min_size=size, max_size=size)))
+        ms = sorted(draw(st.lists(st.sampled_from([1.0, 2.0, 4.0, 9.0,
+                                                   1e6, 3e7]),
+                                  min_size=size, max_size=size)),
+                    reverse=True)
+        gid += [g] * size
+        cost += cs
+        mem += ms
+    return (np.array(gid, dtype=np.int64), np.array(cost), np.array(mem))
+
+
+EPS = st.sampled_from([0.0, 0.0, 0.01, 0.5, 2.0, 10.0])
+
+
+def group_starts(gid):
+    return np.flatnonzero(np.diff(gid, prepend=-1))
+
+
+class TestPruneParity:
+    """The sort-free prune returns the sort-based oracle's index arrays,
+    order included — ties, duplicates, -0.0, negatives and eps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(parity_inputs(), EPS)
+    def test_matches_sort_oracle(self, inputs, eps):
+        gid, cost, mem = inputs
+        got = pareto_prune(gid, cost, mem, eps=eps)
+        want = sort_pareto_prune(gid, cost, mem, eps=eps)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=5), st.data(), EPS)
+    def test_fixed_size_groups(self, n_groups, size, data, eps):
+        """The dense path's fixed-size grouping agrees with the oracle."""
+        vals = st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, 4e9])
+        n = n_groups * size
+        cost = np.array(data.draw(st.lists(vals, min_size=n, max_size=n)))
+        mem = np.array(data.draw(st.lists(vals, min_size=n, max_size=n)))
+        gid = np.repeat(np.arange(n_groups, dtype=np.int64), size)
+        got = frontier_mod._peel(np.arange(0, n, size, dtype=np.int64),
+                                 cost, mem, eps=eps, size=size)
+        assert got.tolist() == sort_pareto_prune(gid, cost, mem,
+                                                 eps=eps).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(presorted_runs(), EPS)
+    def test_presorted_runs(self, inputs, eps):
+        gid, cost, mem = inputs
+        got = frontier_mod._prune_runs(group_starts(gid), cost, mem,
+                                       eps=eps)
+        assert got.tolist() == sort_pareto_prune(gid, cost, mem,
+                                                 eps=eps).tolist()
+
+
 # ---------------------------------------------------------------------------
 # The frontier DP vs brute force (the satellite hypothesis property)
 # ---------------------------------------------------------------------------
@@ -274,6 +365,93 @@ class TestFrontierExactness:
         space, tables = setup(diamond)
         with pytest.raises(ValueError, match="eps"):
             find_frontier_strategy(diamond, space, tables, eps=-1.0)
+
+
+def singleton_merge(rng, n_cells, n_child, width=2):
+    """A merge input whose cells hold one point on both sides, with
+    exact value ties: ``(acc, child_offsets, child_cost, child_mem,
+    proj)`` for `_merge_child`."""
+    vals = np.array([0.0, 1.0, 2.0, 2.0, 5.0, 1e9])
+    acc = (np.arange(n_cells + 1, dtype=np.int64),
+           rng.choice(vals, n_cells), rng.choice(vals, n_cells),
+           rng.integers(0, 50, (n_cells, width)).astype(np.int32))
+    return (acc, np.arange(n_child + 1, dtype=np.int64),
+            rng.choice(vals, n_child), rng.choice(vals, n_child),
+            rng.integers(0, n_child, n_cells).astype(np.int64))
+
+
+def forbid_generic(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("generic merge path taken")
+    monkeypatch.setattr(frontier_mod, "_chunk_generic", fail)
+
+
+class TestMergeFastPaths:
+    """`_merge_child` picks its candidate construction per chunk from
+    the data; every choice returns what the generic one would."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_dags(max_nodes=5), st.sampled_from([2, 3, 4]),
+           st.sampled_from([1, 2, 3, 5, 8]))
+    def test_tiny_chunks_match_brute_force(self, graph, p, chunk):
+        """Chunk boundaries fall between dense and generic cells; the
+        frontier still equals brute force, and its min-cost point the
+        scalar DP's optimum bit for bit."""
+        space, tables = setup(graph, p=p)
+        res = find_frontier_strategy(graph, space, tables, chunk_cells=chunk)
+        assert_frontiers_match(res.frontier, brute_force_frontier(
+            graph, space, tables))
+        assert res.cost == find_best_strategy(graph, space, tables).cost
+
+    @pytest.mark.parametrize("group_size,eps,prune", [
+        (0, 0.0, False), (0, 0.5, True), (3, 0.0, True), (4, 2.0, True)])
+    def test_dense_equals_generic(self, group_size, eps, prune):
+        rng = np.random.default_rng(11 + group_size)
+        n_cells = 12 * max(group_size, 1)
+        acc, c_off, c_cost, c_mem, proj = singleton_merge(rng, n_cells, 7)
+        ones = np.ones(n_cells, dtype=np.int64)
+        inputs = frontier_mod._MergeInputs(
+            acc[0], acc[1], acc[2], ones, ones, c_off[proj], c_cost, c_mem,
+            np.arange(n_cells + 1, dtype=np.int64), group_size, eps, prune)
+        dense = frontier_mod._assemble(
+            [frontier_mod._chunk_dense(inputs, 0, n_cells)], acc[3], n_cells,
+            group_size)
+        generic = frontier_mod._assemble(
+            [frontier_mod._chunk_generic(inputs, 0, n_cells)], acc[3],
+            n_cells, group_size)
+        assert len(dense) == len(generic) == (5 if group_size else 4)
+        for a, b in zip(dense, generic):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_merge_takes_dense_path(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        acc, c_off, c_cost, c_mem, proj = singleton_merge(rng, 20, 6)
+        forbid_generic(monkeypatch)
+        off, cost, mem, childpt, k = frontier_mod._merge_child(
+            acc, c_off, c_cost, c_mem, proj, eps=0.0, pair_chunk=7,
+            ledger=frontier_mod._Ledger(1 << 20), group_size=4)
+        assert off.shape == (6,)
+        assert childpt.shape == (cost.shape[0], 3)
+        assert k.dtype == np.int32 and mem.shape == cost.shape
+
+    def test_dense_path_charged_to_budget(self, monkeypatch):
+        """The dense path's transients are charged like the generic
+        path's (72 bytes per candidate), so a tiny budget still stops
+        it with `SearchResourceError`."""
+        rng = np.random.default_rng(5)
+        n_cells = 24
+        merge = singleton_merge(rng, n_cells, 5)
+        forbid_generic(monkeypatch)
+        with pytest.raises(SearchResourceError) as exc:
+            frontier_mod._merge_child(
+                *merge, eps=0.0, pair_chunk=1 << 20,
+                ledger=frontier_mod._Ledger(72 * n_cells - 1), group_size=4)
+        assert exc.value.requested_bytes == 72 * n_cells
+        assert exc.value.budget_bytes == 72 * n_cells - 1
+        frontier_mod._merge_child(
+            *merge, eps=0.0, pair_chunk=1 << 20,
+            ledger=frontier_mod._Ledger(72 * n_cells), group_size=4)
 
 
 class TestEpsCoarsening:

@@ -43,6 +43,31 @@ def test_from_benchmark_machine_and_mode():
     assert prob.space.mode == "divisors"
 
 
+def test_machine_names_resolve(chain3):
+    """A registered machine name binds that spec, through either
+    constructor, and prices like passing the spec itself."""
+    from repro.core.machine import GTX1080TI, MACHINES
+
+    prob = Problem.from_benchmark("alexnet", p=4, machine="2080ti")
+    assert prob.machine is MACHINES["2080ti"] is RTX2080TI
+    assert Problem.from_graph(chain3, p=4, machine="1080ti").machine \
+        is GTX1080TI
+    by_name = search(Problem.from_benchmark("alexnet", p=4,
+                                            machine="2080ti"))
+    by_spec = search(Problem.from_benchmark("alexnet", p=4,
+                                            machine=RTX2080TI))
+    assert by_name.result.cost == by_spec.result.cost
+
+
+def test_machine_rejected_at_boundary(chain3):
+    with pytest.raises(ValueError, match="unknown machine 'v100'"):
+        Problem.from_benchmark("alexnet", p=4, machine="v100")
+    with pytest.raises(TypeError, match="machine must be a MachineSpec"):
+        Problem.from_graph(chain3, p=4, machine=1080)
+    with pytest.raises(TypeError, match="got dict"):
+        Problem.from_benchmark("alexnet", p=4, machine={"name": "1080ti"})
+
+
 def test_from_graph(chain3):
     prob = Problem.from_graph(chain3, p=4)
     assert prob.p == 4
