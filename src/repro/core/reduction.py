@@ -40,11 +40,11 @@ final reduced space (if it survived) or in its own elimination-time space
 elimination order supplies exactly that index).
 
 Performance: the fixed point runs in **vectorized** form by default —
-the dominance keep-mask and the contraction fold dispatch through
+the dominance keep-mask and the contraction fold run through
 `repro.core.kernels` (last-axis contiguous reductions, candidate-pair
-gathers, optional numba backend), and a dirty-set worklist skips nodes
-whose cost profile is untouched since their last prune (re-pruning an
-unchanged profile provably keeps every row, so skipping is exact).  The
+gathers), and a dirty-set worklist skips nodes whose cost profile is
+untouched since their last prune (re-pruning an unchanged profile
+provably keeps every row, so skipping is exact).  The
 pre-vectorization per-vertex code is retained verbatim behind
 ``vectorized=False`` / :func:`dominance_keep_mask_reference` as the
 bit-identity oracle for the property tests.

@@ -1,38 +1,16 @@
-"""The shared-memory data plane: zero-copy parallel results.
+"""Zero-copy reads of table-cache entries.
 
-Two independent mechanisms live here, both serving the same goal —
-stop shipping multi-megabyte cost matrices through pickle pipes:
-
-`ShmArena`
-    A single sized ``multiprocessing.shared_memory`` segment with a
-    per-array **offset manifest**, planned by the parent *before* any
-    worker runs (every table array's shape is known from the
-    configuration space alone).  Pool workers attach, write their
-    result matrix in place, and return only the array key; the parent
-    *adopts* each array — one ``memcpy`` into process-private memory —
-    and then unlinks the segment.  Adoption copies deliberately: the
-    returned `CostTables` must outlive the arena, survive retries, and
-    never dangle a mapping into an unlinked segment.
-
-    The arena is crash-robust by construction: creation failures
-    (``/dev/shm`` exhausted) surface as ``OSError`` and flow into the
-    existing retry-then-serial degradation; the owner's
-    ``destroy()`` is idempotent and runs in a ``finally``, so the
-    segment is unlinked on success, on worker death mid-write, and on
-    the serial-fallback path alike.
-
-`open_npz_mmap`
-    Read-only zero-copy views over the arrays of an **uncompressed**
-    ``.npz`` (the format `repro.core.tablecache` writes).  ``np.load``
-    ignores ``mmap_mode`` for zip archives, so this walks the zip's
-    local headers itself: each stored member's payload is a contiguous
-    ``.npy`` byte range inside the file, mapped once with
-    ``mmap.ACCESS_READ`` and wrapped by ``np.frombuffer``.  The views
-    are *read-only* (a write raises ``ValueError``) and share pages
-    across every process mapping the same cache entry — a fleet of
-    workers warm-hitting one table-cache file no longer copies the
-    payload per task.  Deleting the file while views are alive is safe
-    on POSIX: the inode persists until the last mapping dies.
+`open_npz_mmap` returns read-only zero-copy views over the arrays of an
+**uncompressed** ``.npz`` (the format `repro.core.tablecache` writes).
+``np.load`` ignores ``mmap_mode`` for zip archives, so this walks the
+zip's local headers itself: each stored member's payload is a contiguous
+``.npy`` byte range inside the file, mapped once with
+``mmap.ACCESS_READ`` and wrapped by ``np.frombuffer``.  The views are
+*read-only* (a write raises ``ValueError``) and share pages across every
+process mapping the same cache entry — a fleet of workers warm-hitting
+one table-cache file does not copy the payload per task.  Deleting the
+file while views are alive is safe on POSIX: the inode persists until
+the last mapping dies.
 """
 
 from __future__ import annotations
@@ -41,169 +19,15 @@ import io
 import mmap
 import struct
 import zipfile
-from multiprocessing import shared_memory
-from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-__all__ = ["ShmArena", "ArenaManifest", "open_npz_mmap", "plan_nbytes"]
-
-#: Byte alignment of every array inside an arena.  64 keeps each array
-#: cache-line aligned, so worker writes to neighbouring arrays never
-#: false-share a line.
-ARENA_ALIGN = 64
+__all__ = ["open_npz_mmap"]
 
 #: The fixed portion of a zip *local* file header (signature through
 #: the extra-field length), per APPNOTE 4.3.7.
 _ZIP_LOCAL_HEADER = struct.Struct("<IHHHHHIIIHH")
 _ZIP_LOCAL_MAGIC = 0x04034B50
-
-#: key -> (byte offset, shape, dtype str); picklable, shipped once per
-#: pool worker through the initializer.
-ArenaManifest = dict
-
-
-def _align(n: int) -> int:
-    return (n + ARENA_ALIGN - 1) // ARENA_ALIGN * ARENA_ALIGN
-
-
-def plan_nbytes(plan: Mapping[Any, tuple[tuple[int, ...], Any]]) -> int:
-    """Total segment bytes an arena for ``plan`` would allocate."""
-    total = 0
-    for shape, dtype in plan.values():
-        nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-        total = _align(total + nbytes)
-    return max(total, 1)
-
-
-class ShmArena:
-    """One shared-memory segment holding many planned arrays.
-
-    Lifecycle::
-
-        arena = ShmArena.create({key: (shape, dtype), ...})   # parent
-        worker = ShmArena.attach(arena.name, arena.manifest)  # child
-        worker.write(key, computed_array)                     # in place
-        out = arena.adopt(key)                                # memcpy out
-        arena.destroy()                                       # unlink
-
-    ``create`` raises ``OSError`` when the segment cannot be allocated
-    (shm exhausted); callers route that into their degradation path.
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory,
-                 manifest: ArenaManifest, *, owner: bool) -> None:
-        self._shm: shared_memory.SharedMemory | None = shm
-        self.manifest = manifest
-        self._owner = owner
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def create(cls, plan: Mapping[Any, tuple[tuple[int, ...], Any]]
-               ) -> "ShmArena":
-        """Allocate a segment sized for ``plan`` (key -> (shape, dtype))."""
-        manifest: ArenaManifest = {}
-        offset = 0
-        for key, (shape, dtype) in plan.items():
-            dt = np.dtype(dtype)
-            nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-            manifest[key] = (offset, tuple(int(s) for s in shape), dt.str)
-            offset = _align(offset + nbytes)
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        return cls(shm, manifest, owner=True)
-
-    @classmethod
-    def attach(cls, name: str, manifest: ArenaManifest) -> "ShmArena":
-        """Map an existing arena by name (worker side)."""
-        return cls(shared_memory.SharedMemory(name=name), manifest,
-                   owner=False)
-
-    @property
-    def name(self) -> str:
-        assert self._shm is not None, "arena already closed"
-        return self._shm.name
-
-    @property
-    def nbytes(self) -> int:
-        assert self._shm is not None, "arena already closed"
-        return self._shm.size
-
-    def keys(self) -> Iterable[Any]:
-        return self.manifest.keys()
-
-    # -- array access --------------------------------------------------------
-
-    def _view(self, key: Any) -> np.ndarray:
-        assert self._shm is not None, "arena already closed"
-        offset, shape, dtype = self.manifest[key]
-        return np.ndarray(shape, dtype=np.dtype(dtype),
-                          buffer=self._shm.buf, offset=offset)
-
-    def write(self, key: Any, array: np.ndarray) -> None:
-        """Copy ``array`` into the arena slot for ``key`` (worker side).
-
-        The slot's shape/dtype were planned by the parent; a mismatch is
-        a programming error and raises rather than corrupting a
-        neighbouring array.
-        """
-        view = self._view(key)
-        if view.shape != array.shape:
-            raise ValueError(
-                f"arena slot {key!r} planned as {view.shape}, "
-                f"worker produced {array.shape}")
-        view[...] = array
-        del view  # release the buffer export so close() can unmap
-
-    def adopt(self, key: Any) -> np.ndarray:
-        """Copy the array for ``key`` out of the arena (parent side).
-
-        One ``memcpy`` into process-private memory, so the result is an
-        ordinary owned array safe to keep after ``destroy()``.
-        """
-        view = self._view(key)
-        out = view.copy()
-        del view
-        return out
-
-    # -- teardown ------------------------------------------------------------
-
-    def close(self) -> None:
-        """Unmap this process's view (idempotent, export-tolerant)."""
-        if self._shm is None:
-            return
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - a live view still exports
-            return  # process exit reclaims the mapping
-        self._shm = None
-
-    def destroy(self) -> None:
-        """Unlink the segment (owner only) and unmap.  Idempotent; safe
-        to call from a ``finally`` on every success/failure/retry path."""
-        if self._shm is None:
-            return
-        name = self._shm.name
-        self.close()
-        if self._owner:
-            try:
-                # close() may have early-returned on BufferError; unlink
-                # through a fresh handle so the name always goes away.
-                seg = shared_memory.SharedMemory(name=name)
-                seg.close()
-                seg.unlink()
-            except FileNotFoundError:
-                pass
-        self._shm = None
-
-    def __del__(self) -> None:  # pragma: no cover - GC backstop
-        try:
-            self.destroy() if self._owner else self.close()
-        except Exception:
-            pass
-
-
-# -- mmap'd .npz reads -------------------------------------------------------
 
 
 def _member_data_span(zf: zipfile.ZipFile, raw, info: zipfile.ZipInfo

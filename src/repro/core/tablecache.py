@@ -95,10 +95,6 @@ DEFAULT_CACHE_BYTES = 1 << 30
 CACHE_DIR_ENV = "PASE_TABLE_CACHE_DIR"
 CACHE_BYTES_ENV = "PASE_TABLE_CACHE_BYTES"
 
-#: Kill-switch for mmap'd warm hits: set to ``0`` to force the eager
-#: (copying) loader everywhere.
-CACHE_MMAP_ENV = "PASE_TABLE_MMAP"
-
 #: Separator joining pair keys in the manifest (never appears in names).
 _PAIR_SEP = "\x1f"
 
@@ -142,6 +138,22 @@ def _payload_checksum(arrays) -> str:
         h.update(str(a.shape).encode())
         h.update(a.data)
     return h.hexdigest()
+
+
+def _unpack(data):
+    """``(manifest, lc, pair_tx, mem)`` from a stored entry's members
+    (an ``np.load`` archive or the `open_npz_mmap` dict)."""
+    manifest = json.loads(str(data["manifest"]))
+    lc = {name: data[f"lc_{i}"] for i, name in enumerate(manifest["nodes"])}
+    pair_tx = {}
+    for i, joined in enumerate(manifest["pairs"]):
+        u, v = joined.split(_PAIR_SEP)
+        pair_tx[(u, v)] = data[f"tx_{i}"]
+    mem = None
+    if "mem_nodes" in manifest:
+        mem = {name: data[f"mem_{i}"]
+               for i, name in enumerate(manifest["mem_nodes"])}
+    return manifest, lc, pair_tx, mem
 
 
 def _tensor_desc(spec) -> list:
@@ -348,8 +360,7 @@ class TableCache:
         return path
 
     def load(self, digest: str, graph: CompGraph, space: ConfigSpace,
-             machine: MachineSpec, *,
-             mmap: bool | None = None) -> "CostTables | None":
+             machine: MachineSpec) -> "CostTables | None":
         """Reconstruct `CostTables` for a digest, or None on a miss.
 
         The caller supplies the live graph/space/machine objects (the
@@ -358,12 +369,11 @@ class TableCache:
         to ``corrupt/`` and reported as a miss — the caller rebuilds; the
         run never crashes on a bad cache file.
 
-        Warm hits default to **mmap'd zero-copy views** (``mmap=None``
-        honors `CACHE_MMAP_ENV`): the entry's arrays are served read-only
-        straight off one shared mapping of the file, so a fleet of
-        workers hitting the same entry shares pages instead of each
-        copying multi-MB payloads — nothing in the pipeline writes table
-        arrays in place (writers copy first, e.g. the reduction's
+        Warm hits are **mmap'd zero-copy views**: the entry's arrays are
+        served read-only straight off one shared mapping of the file, so
+        a fleet of workers hitting the same entry shares pages instead of
+        each copying multi-MB payloads — nothing in the pipeline writes
+        table arrays in place (writers copy first, e.g. the reduction's
         ``np.array(...)`` adoption).  Anything the mmap reader cannot
         serve falls back to the eager copying loader, whose verdict
         (including quarantine) is authoritative.
@@ -373,28 +383,21 @@ class TableCache:
         path = self.path_for(digest)
         if not path.is_file():
             return None
-        if mmap is None:
-            mmap = os.environ.get(CACHE_MMAP_ENV, "1") != "0"
-        memo_key = verified = None
-        if mmap:
-            try:
-                st = path.stat()
-                memo_key = (str(path), st.st_ino, st.st_size, digest)
-                verified = _MMAP_MEMO.get(memo_key)
-            except OSError:
-                return None  # raced an eviction: a plain miss
+        try:
+            st = path.stat()
+        except OSError:
+            return None  # raced an eviction: a plain miss
+        memo_key = (str(path), st.st_ino, st.st_size, digest)
+        verified = _MMAP_MEMO.get(memo_key)
         if verified is not None:
             manifest, lc, pair_tx, mem = verified
         else:
-            loaded = None
-            from_mmap = False
-            if mmap:
-                try:
-                    loaded = self._read_mmap(path)
-                    from_mmap = True
-                except (OSError, ValueError, KeyError, EOFError,
-                        zipfile.BadZipFile, json.JSONDecodeError):
-                    loaded = None  # let the eager loader classify the file
+            try:
+                loaded = self._read_mmap(path)
+            except (OSError, ValueError, KeyError, EOFError,
+                    zipfile.BadZipFile, json.JSONDecodeError):
+                loaded = None  # let the eager loader classify the file
+            from_mmap = loaded is not None
             try:
                 if loaded is None:
                     loaded = self._read_eager(path)
@@ -412,7 +415,7 @@ class TableCache:
                     zipfile.BadZipFile, json.JSONDecodeError) as err:
                 self._quarantine(path, reason=str(err))
                 return None
-            if from_mmap and memo_key is not None:
+            if from_mmap:
                 while len(_MMAP_MEMO) >= _MMAP_MEMO_MAX:
                     _MMAP_MEMO.pop(next(iter(_MMAP_MEMO)))
                 _MMAP_MEMO[memo_key] = (manifest, lc, pair_tx, mem)
@@ -432,36 +435,13 @@ class TableCache:
         mapping valid even if the file is later evicted)."""
         from .shm import open_npz_mmap
 
-        data = open_npz_mmap(path)
-        manifest = json.loads(str(data["manifest"]))
-        lc = {name: data[f"lc_{i}"]
-              for i, name in enumerate(manifest["nodes"])}
-        pair_tx = {}
-        for i, joined in enumerate(manifest["pairs"]):
-            u, v = joined.split(_PAIR_SEP)
-            pair_tx[(u, v)] = data[f"tx_{i}"]
-        mem = None
-        if "mem_nodes" in manifest:
-            mem = {name: data[f"mem_{i}"]
-                   for i, name in enumerate(manifest["mem_nodes"])}
-        return manifest, lc, pair_tx, mem
+        return _unpack(open_npz_mmap(path))
 
     @staticmethod
     def _read_eager(path: Path):
         """Copying read: ``(manifest, lc, pair_tx, mem)`` as owned arrays."""
         with np.load(path, allow_pickle=False) as data:
-            manifest = json.loads(str(data["manifest"]))
-            lc = {name: data[f"lc_{i}"]
-                  for i, name in enumerate(manifest["nodes"])}
-            pair_tx = {}
-            for i, joined in enumerate(manifest["pairs"]):
-                u, v = joined.split(_PAIR_SEP)
-                pair_tx[(u, v)] = data[f"tx_{i}"]
-            mem = None
-            if "mem_nodes" in manifest:
-                mem = {name: data[f"mem_{i}"]
-                       for i, name in enumerate(manifest["mem_nodes"])}
-        return manifest, lc, pair_tx, mem
+            return _unpack(data)
 
     def _quarantine(self, path: Path, *, reason: str) -> None:
         """Move a bad entry to ``corrupt/`` (counted, never re-read).

@@ -95,7 +95,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed for the stochastic baselines (MCMC)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for cost-table construction "
+                        help="worker threads for cost-table construction "
                         "(0 = all cores; default: serial)")
     parser.add_argument("--table-cache", metavar="DIR", default=None,
                         help="cache precomputed cost tables under DIR")

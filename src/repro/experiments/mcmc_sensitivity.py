@@ -91,7 +91,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
                         help="RNG seeds, one MCMC run per seed and init")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for cost-table construction "
+                        help="worker threads for cost-table construction "
                         "(0 = all cores; default: serial)")
     parser.add_argument("--table-cache", metavar="DIR", default=None,
                         help="cache precomputed cost tables under DIR")

@@ -58,17 +58,11 @@ class RunContext:
         Table-construction parallelism and on-disk `TableCache`, as in
         `CostModel.build_tables`.  ``jobs`` accepts a worker count
         (``"auto"`` backend selection) or a backend spelling such as
-        ``"serial"``, ``"threads:4"``, ``"processes:2"``.
+        ``"serial"`` or ``"threads:4"``.
     pool:
         Fleet worker management: ``"persistent"`` (reuse pre-forked
         workers across tasks) or ``"spawn"`` (one process per task
         attempt).  ``None`` defers to the supervisor's default.
-    kernel:
-        Compute backend for the hot search kernels
-        (`repro.core.kernels`): ``"numpy"``, ``"numba"`` (graceful
-        numpy fallback when not installed), or ``"auto"``.  ``None``
-        inherits the process-wide selection (``--kernel`` /
-        ``PASE_KERNEL``).
     checkpoint:
         Explicit cooperative-poll callable overriding the one composed
         from ``budget``/``cancellation``/``journal`` — used by code that
@@ -84,7 +78,6 @@ class RunContext:
     jobs: int | str | None = None
     cache: object | None = None
     pool: str | None = None
-    kernel: str | None = None
     checkpoint: Callable[..., None] | None = None
 
     # -- derived accessors ---------------------------------------------------

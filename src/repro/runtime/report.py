@@ -2,8 +2,8 @@
 
 A `RunReport` answers, after any run — clean, degraded, interrupted, or
 out of budget — exactly what happened: which phases ran (and which were
-replayed from the journal), every silent-degradation event (pool worker
-death, quarantined cache entries, resilience retries), and the best cost
+replayed from the journal), every silent-degradation event (quarantined
+cache entries, resilience retries), and the best cost
 known so far.  The acceptance bar for a healthy run is *zero* entries in
 ``degradations``.
 

@@ -94,12 +94,6 @@ class TestStructure:
 
 
 class TestExport:
-    def test_to_networkx(self, diamond):
-        nxg = diamond.to_networkx()
-        assert nxg.number_of_nodes() == 4
-        assert nxg.number_of_edges() == 4
-        assert nxg.nodes["n0"]["kind"] == "test"
-
     def test_stats(self, diamond):
         s = diamond.stats()
         assert s["nodes"] == 4 and s["edges"] == 4

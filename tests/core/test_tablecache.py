@@ -9,6 +9,7 @@ from repro.core.configs import ConfigSpace
 from repro.core.costmodel import CostModel
 from repro.core.machine import GTX1080TI, RTX2080TI, UNIT_BALANCE
 from repro.core.tablecache import TableCache, table_digest
+from repro.runtime import RunContext
 from tests.conftest import build_dag
 
 
@@ -196,14 +197,16 @@ class TestMemoryEntries:
     def test_build_tables_memory_cache_hit(self, tmp_path):
         g, space, cm = setup_instance()
         cache = TableCache(tmp_path)
-        cold = cm.build_tables(g, space, memory=True, cache=cache)
-        warm = cm.build_tables(g, space, memory=True, cache=cache)
+        cold = cm.build_tables(g, space, memory=True,
+                               ctx=RunContext(cache=cache))
+        warm = cm.build_tables(g, space, memory=True,
+                               ctx=RunContext(cache=cache))
         assert warm.build_stats["cache_hit"] == 1.0
         assert warm.mem is not None
         for n in cold.mem:
             assert np.array_equal(cold.mem[n], warm.mem[n])
         # A scalar build keys a *different* entry — no false sharing.
-        scalar = cm.build_tables(g, space, cache=cache)
+        scalar = cm.build_tables(g, space, ctx=RunContext(cache=cache))
         assert scalar.build_stats["cache_hit"] == 0.0
         assert scalar.mem is None
 
@@ -212,21 +215,21 @@ class TestBuildTablesIntegration:
     def test_cold_build_populates(self, tmp_path):
         g, space, cm = setup_instance()
         cache = TableCache(tmp_path)
-        tables = cm.build_tables(g, space, cache=cache)
+        tables = cm.build_tables(g, space, ctx=RunContext(cache=cache))
         assert tables.build_stats["cache_hit"] == 0.0
         assert len(list(cache.entries())) == 1
 
     def test_warm_hit_skips_all_construction(self, tmp_path, monkeypatch):
         g, space, cm = setup_instance()
         cache = TableCache(tmp_path)
-        cold = cm.build_tables(g, space, cache=cache)
+        cold = cm.build_tables(g, space, ctx=RunContext(cache=cache))
 
         def boom(*args, **kwargs):
             raise AssertionError("matrix construction ran on a cache hit")
 
         monkeypatch.setattr(CostModel, "layer_cost", boom)
         monkeypatch.setattr(CostModel, "edge_bytes_matrix", boom)
-        warm = cm.build_tables(g, space, cache=cache)
+        warm = cm.build_tables(g, space, ctx=RunContext(cache=cache))
         assert warm.build_stats["cache_hit"] == 1.0
         assert tables_equal(cold, warm)
 
@@ -234,8 +237,8 @@ class TestBuildTablesIntegration:
         from repro.core.dp import find_best_strategy
         g, space, cm = setup_instance()
         cache = TableCache(tmp_path)
-        cm.build_tables(g, space, cache=cache)
-        warm = cm.build_tables(g, space, cache=cache)
+        cm.build_tables(g, space, ctx=RunContext(cache=cache))
+        warm = cm.build_tables(g, space, ctx=RunContext(cache=cache))
         res = find_best_strategy(g, space, warm)
         assert res.stats["table_cache_hit"] == 1.0
         assert res.stats["table_build_seconds"] >= 0.0
@@ -243,8 +246,10 @@ class TestBuildTablesIntegration:
     def test_different_machines_get_distinct_entries(self, tmp_path):
         g, space, _ = setup_instance()
         cache = TableCache(tmp_path)
-        CostModel(GTX1080TI).build_tables(g, space, cache=cache)
-        CostModel(UNIT_BALANCE).build_tables(g, space, cache=cache)
+        CostModel(GTX1080TI).build_tables(g, space,
+                                          ctx=RunContext(cache=cache))
+        CostModel(UNIT_BALANCE).build_tables(g, space,
+                                             ctx=RunContext(cache=cache))
         assert len(list(cache.entries())) == 2
 
 
@@ -392,12 +397,12 @@ class TestQuarantine:
         g, space, cm, cache, digest = self._stored(tmp_path)
         cache.path_for(digest).write_bytes(b"garbage")
         reference = cm.build_tables(g, space)
-        rebuilt = cm.build_tables(g, space, cache=cache)
+        rebuilt = cm.build_tables(g, space, ctx=RunContext(cache=cache))
         assert rebuilt.build_stats["cache_hit"] == 0.0
         assert cache.quarantined == 1
         assert tables_equal(rebuilt, reference)
         # The rebuild re-populated the cache; next build is a clean hit.
-        again = cm.build_tables(g, space, cache=cache)
+        again = cm.build_tables(g, space, ctx=RunContext(cache=cache))
         assert again.build_stats["cache_hit"] == 1.0
         assert tables_equal(again, reference)
 

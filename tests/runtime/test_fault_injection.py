@@ -1,30 +1,19 @@
-"""Fault injection: dead pool workers and corrupt cache entries.
+"""Fault injection on the table build.
 
-The hardened build must *degrade* — retry, then fall back bit-identically
-to the serial path — never crash, never poison the cache, and never hide
-that it happened.
+The thread backend has no degradation path: a failure inside the pool
+propagates to the caller unchanged, and nothing half-built reaches the
+cache.  Cancellation is honored before the pool starts.
 """
 
-import multiprocessing
-import os
-
-import numpy as np
 import pytest
 
-from repro.core import costmodel
 from repro.core.configs import ConfigSpace
 from repro.core.costmodel import CostModel
+from repro.core.exceptions import RunInterrupted
 from repro.core.machine import GTX1080TI
 from repro.core.tablecache import TableCache
+from repro.runtime import Cancellation, RunContext
 from tests.conftest import build_dag
-
-IS_FORK = multiprocessing.get_start_method(allow_none=False) == "fork"
-
-
-def _die_in_worker(name):
-    # Module-level so pool.map can pickle it by reference; the moral
-    # equivalent of an OOM kill landing on a pool child mid-task.
-    os._exit(1)
 
 
 def make_problem(p: int = 4):
@@ -33,197 +22,33 @@ def make_problem(p: int = 4):
     return graph, ConfigSpace.build(graph, p)
 
 
-def tables_equal(a, b) -> bool:
-    return (set(a.lc) == set(b.lc)
-            and set(a.pair_tx) == set(b.pair_tx)
-            and all(np.array_equal(a.lc[n], b.lc[n]) for n in a.lc)
-            and all(np.array_equal(a.pair_tx[k], b.pair_tx[k])
-                    for k in a.pair_tx))
+class TestThreadPoolFailure:
+    def test_worker_error_propagates_and_skips_cache(
+            self, monkeypatch, tmp_path):
+        def explode(self, op, configs):
+            raise MemoryError("layer cost failed in a pool thread")
 
-
-@pytest.fixture
-def fast_faults(monkeypatch):
-    """Make every build eligible for the pool and retries instant."""
-    monkeypatch.setattr(costmodel, "PARALLEL_THRESHOLD_CELLS", 0)
-    monkeypatch.setattr(costmodel, "PARALLEL_RETRY_BACKOFF_SECONDS", 0.0)
-
-
-class TestBrokenPool:
-    def test_serial_fallback_is_bit_identical(self, monkeypatch, fast_faults):
-        from concurrent.futures.process import BrokenProcessPool
-
-        graph, space = make_problem()
-        reference = CostModel(GTX1080TI).build_tables(graph, space)
-
-        calls = {"n": 0}
-
-        def explode(self, graph, space, workers, memory):
-            calls["n"] += 1
-            raise BrokenProcessPool("worker killed by test")
-
-        monkeypatch.setattr(CostModel, "_build_arrays_parallel", explode)
-        tables = CostModel(GTX1080TI).build_tables(graph, space, jobs="processes:2")
-
-        assert calls["n"] == 1 + costmodel.PARALLEL_BUILD_RETRIES
-        assert tables.build_stats["degraded"] == 1.0
-        assert tables.build_stats["parallel_retries"] == \
-            float(costmodel.PARALLEL_BUILD_RETRIES)
-        assert tables.build_stats["jobs"] == 1.0
-        assert "BrokenProcessPool" in tables.degraded_reason
-        assert tables_equal(tables, reference)
-
-    def test_transient_failure_recovers_without_degrading(
-            self, monkeypatch, fast_faults):
-        from concurrent.futures.process import BrokenProcessPool
-
-        graph, space = make_problem()
-        original = CostModel._build_arrays_parallel
-        calls = {"n": 0}
-
-        def flaky(self, graph, space, workers, memory):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise BrokenProcessPool("transient")
-            return original(self, graph, space, workers, memory)
-
-        monkeypatch.setattr(CostModel, "_build_arrays_parallel", flaky)
-        tables = CostModel(GTX1080TI).build_tables(graph, space, jobs="processes:2")
-        assert tables.build_stats["degraded"] == 0.0
-        assert tables.build_stats["parallel_retries"] == 1.0
-        assert tables_equal(
-            tables, CostModel(GTX1080TI).build_tables(graph, space))
-
-    def test_degraded_build_never_populates_cache(
-            self, monkeypatch, fast_faults, tmp_path, caplog):
-        from concurrent.futures.process import BrokenProcessPool
-
-        def explode(self, graph, space, workers, memory):
-            raise BrokenProcessPool("worker killed by test")
-
-        monkeypatch.setattr(CostModel, "_build_arrays_parallel", explode)
+        monkeypatch.setattr(CostModel, "layer_cost", explode)
         graph, space = make_problem()
         cache = TableCache(tmp_path / "cache")
-        with caplog.at_level("WARNING", logger="repro.core.costmodel"):
-            tables = CostModel(GTX1080TI).build_tables(
-                graph, space, jobs="processes:2", cache=cache)
-        assert tables.build_stats["degraded"] == 1.0
+        ctx = RunContext(jobs="threads:2", cache=cache)
+        with pytest.raises(MemoryError, match="pool thread"):
+            CostModel(GTX1080TI).build_tables(graph, space, ctx=ctx)
         assert list(cache.entries()) == []
-        assert any("not caching" in rec.message for rec in caplog.records)
 
-    def test_oserror_also_degrades(self, monkeypatch, fast_faults):
-        def explode(self, graph, space, workers, memory):
-            raise OSError("fork: retry: resource temporarily unavailable")
+    def test_cancelled_before_pool_starts(self, monkeypatch):
+        calls = []
+        original = CostModel.layer_cost
 
-        monkeypatch.setattr(CostModel, "_build_arrays_parallel", explode)
-        graph, space = make_problem()
-        tables = CostModel(GTX1080TI).build_tables(graph, space, jobs="processes:2")
-        assert tables.build_stats["degraded"] == 1.0
-        assert "OSError" in tables.degraded_reason
+        def counted(self, op, configs):
+            calls.append(op.name)
+            return original(self, op, configs)
 
-
-@pytest.mark.skipif(not IS_FORK, reason="needs fork start method so the "
-                    "monkeypatched task reaches pool workers")
-class TestRealWorkerDeath:
-    def test_killed_worker_degrades_to_identical_serial(
-            self, monkeypatch, fast_faults):
-        """An actual pool child dying mid-task (os._exit, the moral
-        equivalent of an OOM kill) must surface as BrokenProcessPool and
-        degrade to a bit-identical serial build."""
-        graph, space = make_problem()
-        reference = CostModel(GTX1080TI).build_tables(graph, space)
-
-        monkeypatch.setattr(costmodel, "_node_task", _die_in_worker)
-        tables = CostModel(GTX1080TI).build_tables(graph, space, jobs="processes:2")
-        assert tables.build_stats["degraded"] == 1.0
-        assert tables_equal(tables, reference)
-
-
-class TestInterruptibleBackoff:
-    """The retry backoff must poll the run's checkpoint, not sleep
-    through a SIGINT or a blown deadline (the fleet's per-task deadlines
-    depend on this: a worker stuck in a 30s backoff is a straggler)."""
-
-    def test_sleep_aborts_at_the_next_poll(self):
-        import time as _time
-
-        from repro.core.exceptions import RunInterrupted
-
-        calls = {"n": 0}
-
-        def checkpoint(**kwargs):
-            calls["n"] += 1
-            if calls["n"] >= 3:
-                raise RunInterrupted("SIGINT", signal_name="SIGINT")
-
-        t0 = _time.perf_counter()
-        with pytest.raises(RunInterrupted):
-            costmodel._interruptible_sleep(60.0, checkpoint)
-        assert _time.perf_counter() - t0 < 5.0
-        assert calls["n"] == 3
-
-    def test_sleep_without_checkpoint_just_sleeps(self):
-        costmodel._interruptible_sleep(0.0, None)  # must not raise
-
-    def test_full_backoff_polls_then_returns(self):
-        calls = {"n": 0}
-
-        def checkpoint(**kwargs):
-            calls["n"] += 1
-
-        costmodel._interruptible_sleep(0.12, checkpoint)
-        assert calls["n"] >= 2  # polled at least once per slice
-
-    def test_build_retry_backoff_honors_cancellation(
-            self, monkeypatch, fast_faults):
-        """Cancel mid-backoff: the hardened build must unwind with
-        RunInterrupted instead of finishing the sleep and degrading."""
-        import time as _time
-
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.core.exceptions import RunInterrupted
-        from repro.runtime import Cancellation, RunContext
-
-        monkeypatch.setattr(costmodel, "PARALLEL_RETRY_BACKOFF_SECONDS",
-                            60.0)
-
+        monkeypatch.setattr(CostModel, "layer_cost", counted)
         cancel = Cancellation()
-
-        def explode(self, graph, space, workers, memory):
-            # Fail the first attempt, then request cancellation so the
-            # backoff before the retry is where the poll must fire.
-            cancel.set("SIGINT")
-            raise BrokenProcessPool("worker killed by test")
-
-        monkeypatch.setattr(CostModel, "_build_arrays_parallel", explode)
+        cancel.set("SIGINT")
         graph, space = make_problem()
-        ctx = RunContext(cancellation=cancel, jobs="processes:2")
-        t0 = _time.perf_counter()
+        ctx = RunContext(cancellation=cancel, jobs="threads:2")
         with pytest.raises(RunInterrupted):
             CostModel(GTX1080TI).build_tables(graph, space, ctx=ctx)
-        assert _time.perf_counter() - t0 < 5.0
-
-
-class TestRuntimeSurfacesDegradation:
-    def test_execute_search_reports_degraded_build(
-            self, monkeypatch, fast_faults, tmp_path):
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.runtime import SearchJournal, execute_search
-
-        def explode(self, graph, space, workers, memory):
-            raise BrokenProcessPool("worker killed by test")
-
-        monkeypatch.setattr(CostModel, "_build_arrays_parallel", explode)
-        graph, space = make_problem()
-        fresh = execute_search(graph, space, GTX1080TI).result
-        journal = SearchJournal(tmp_path / "journal")
-        out = execute_search(graph, space, GTX1080TI, jobs="processes:2",
-                             journal=journal)
-        assert not out.report.clean
-        assert any("serial" in d for d in out.report.degradations)
-        assert any(ev["kind"] == "table-build-degraded"
-                   for ev in journal.events)
-        # Degraded, but still the exact answer.
-        assert out.result.cost == fresh.cost
-        assert out.result.strategy.assignment == fresh.strategy.assignment
+        assert calls == []

@@ -21,11 +21,17 @@ from repro.runtime import (
     EXIT_OK,
     EXIT_RESOURCE,
     RunBudget,
+    RunContext,
     SearchJournal,
     execute_search,
     run_fingerprint,
 )
 from tests.conftest import build_dag, small_dags
+
+
+def journalled(path, **kwargs) -> RunContext:
+    """A run context journalling under ``path``."""
+    return RunContext(journal=SearchJournal(path), **kwargs)
 
 
 def make_problem(p: int = 4):
@@ -102,7 +108,7 @@ class TestFailureModes:
         graph, space = make_problem()
         with pytest.raises(DeadlineExceededError) as exc:
             execute_search(graph, space, GTX1080TI,
-                           budget=RunBudget(deadline=0.0))
+                           ctx=RunContext(budget=RunBudget(deadline=0.0)))
         report = exc.value.run_report
         assert report.outcome == "deadline"
         assert report.exit_code == EXIT_DEADLINE
@@ -112,14 +118,15 @@ class TestFailureModes:
         graph, space = make_problem()
         with pytest.raises(SearchResourceError) as exc:
             execute_search(graph, space, GTX1080TI,
-                           budget=RunBudget(memory_budget=64))
+                           ctx=RunContext(budget=RunBudget(memory_budget=64)))
         assert exc.value.run_report.outcome == "resource-error"
         assert exc.value.run_report.exit_code == EXIT_RESOURCE
 
     def test_resilient_survives_tiny_memory_budget(self):
         graph, space = make_problem()
         out = execute_search(graph, space, GTX1080TI, resilient=True,
-                             budget=RunBudget(memory_budget=4096))
+                             ctx=RunContext(
+                                 budget=RunBudget(memory_budget=4096)))
         assert out.resilience is not None
         if out.resilience.retries:
             assert out.report.degradations
@@ -129,7 +136,7 @@ class TestFailureModes:
         graph, space = make_problem()
         with pytest.raises(RunInterrupted) as exc:
             execute_search(graph, space, GTX1080TI,
-                           cancellation=TripAfter(0))
+                           ctx=RunContext(cancellation=TripAfter(0)))
         assert exc.value.run_report.outcome == "interrupted"
         assert exc.value.run_report.exit_code == EXIT_INTERRUPTED
 
@@ -146,12 +153,12 @@ class TestJournalledRuns:
 
         journal = SearchJournal(tmp_path / "journal")
         with pytest.raises(RunInterrupted):
-            execute_search(graph, space, GTX1080TI, journal=journal,
-                           cancellation=TripAfter(5))
+            execute_search(graph, space, GTX1080TI,
+                           ctx=RunContext(journal=journal,
+                                          cancellation=TripAfter(5)))
 
-        resumed = execute_search(graph, space, GTX1080TI,
-                                 journal=SearchJournal(tmp_path / "journal"),
-                                 resume=True)
+        resumed = execute_search(graph, space, GTX1080TI, resume=True,
+                                 ctx=journalled(tmp_path / "journal"))
         assert resumed.result.cost == fresh.cost
         assert resumed.result.strategy.assignment == \
             fresh.strategy.assignment
@@ -164,20 +171,20 @@ class TestJournalledRuns:
         # Trip late enough that the tables phase completed and journalled.
         n_tasks = len(graph) + len(graph.edges)
         with pytest.raises(RunInterrupted):
-            execute_search(graph, space, GTX1080TI, journal=journal,
-                           cancellation=TripAfter(n_tasks + 1))
-        resumed = execute_search(graph, space, GTX1080TI,
-                                 journal=SearchJournal(tmp_path / "journal"),
-                                 resume=True)
+            execute_search(graph, space, GTX1080TI,
+                           ctx=RunContext(journal=journal,
+                                          cancellation=TripAfter(n_tasks + 1)))
+        resumed = execute_search(graph, space, GTX1080TI, resume=True,
+                                 ctx=journalled(tmp_path / "journal"))
         assert resumed.result.stats["table_cache_hit"] == 1.0
 
     def test_finished_journal_replays_without_recompute(self, tmp_path):
         graph, space = make_problem()
         journal = SearchJournal(tmp_path / "journal")
-        first = execute_search(graph, space, GTX1080TI, journal=journal)
-        replay = execute_search(graph, space, GTX1080TI,
-                                journal=SearchJournal(tmp_path / "journal"),
-                                resume=True)
+        first = execute_search(graph, space, GTX1080TI,
+                               ctx=RunContext(journal=journal))
+        replay = execute_search(graph, space, GTX1080TI, resume=True,
+                                ctx=journalled(tmp_path / "journal"))
         assert replay.result.cost == first.result.cost
         assert replay.result.strategy.assignment == \
             first.result.strategy.assignment
@@ -186,12 +193,12 @@ class TestJournalledRuns:
     def test_resume_different_problem_rejected(self, tmp_path):
         graph, space = make_problem()
         journal = SearchJournal(tmp_path / "journal")
-        execute_search(graph, space, GTX1080TI, journal=journal)
+        execute_search(graph, space, GTX1080TI,
+                       ctx=RunContext(journal=journal))
         _, other_space = make_problem(p=8)
         with pytest.raises(JournalError, match="different problem"):
-            execute_search(graph, other_space, GTX1080TI,
-                           journal=SearchJournal(tmp_path / "journal"),
-                           resume=True)
+            execute_search(graph, other_space, GTX1080TI, resume=True,
+                           ctx=journalled(tmp_path / "journal"))
 
     def test_fingerprint_excludes_perf_knobs(self):
         from repro.core.costmodel import CostModel
@@ -280,13 +287,11 @@ class TestObjectiveThreading:
 
     def test_frontier_journal_replay_bit_identical(self, tmp_path):
         graph, space = make_problem()
-        first = execute_search(graph, space, GTX1080TI,
-                               objective="frontier",
-                               journal=SearchJournal(tmp_path / "j"))
-        replay = execute_search(graph, space, GTX1080TI,
-                                objective="frontier",
-                                journal=SearchJournal(tmp_path / "j"),
-                                resume=True)
+        first = execute_search(graph, space, GTX1080TI, objective="frontier",
+                               ctx=journalled(tmp_path / "j"))
+        replay = execute_search(graph, space, GTX1080TI, objective="frontier",
+                                resume=True,
+                                ctx=journalled(tmp_path / "j"))
         assert all(ph.status == "journal" for ph in replay.report.phases)
         assert len(replay.result.frontier) == len(first.result.frontier)
         for got, want in zip(replay.result.frontier, first.result.frontier):
@@ -298,11 +303,11 @@ class TestObjectiveThreading:
             self, tmp_path):
         graph, space = make_problem()
         execute_search(graph, space, GTX1080TI,
-                       journal=SearchJournal(tmp_path / "j"))
+                       ctx=journalled(tmp_path / "j"))
         with pytest.raises(JournalError, match="different problem"):
             execute_search(graph, space, GTX1080TI, objective="frontier",
-                           journal=SearchJournal(tmp_path / "j"),
-                           resume=True)
+                           resume=True,
+                           ctx=journalled(tmp_path / "j"))
 
     def test_frontier_with_reduce_and_resilient(self):
         import math
@@ -334,17 +339,16 @@ class TestResumeProperty:
         with tempfile.TemporaryDirectory() as tmp:
             try:
                 out = execute_search(graph, space, GTX1080TI,
-                                     journal=SearchJournal(tmp),
-                                     cancellation=TripAfter(trip_at))
+                                     ctx=journalled(
+                                         tmp, cancellation=TripAfter(trip_at)))
                 # Run finished before the trip point: nothing to resume,
                 # but the journalled result must already match.
                 assert out.result.cost == fresh.cost
                 return
             except RunInterrupted:
                 pass
-            resumed = execute_search(graph, space, GTX1080TI,
-                                     journal=SearchJournal(tmp),
-                                     resume=True)
+            resumed = execute_search(graph, space, GTX1080TI, resume=True,
+                                     ctx=journalled(tmp))
             assert resumed.result.cost == fresh.cost
             assert resumed.result.strategy.assignment == \
                 fresh.strategy.assignment

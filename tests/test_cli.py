@@ -49,6 +49,19 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("argv", [
+        ["--jobs", "processes"],
+        ["--jobs", "processes:2"],
+        ["--kernel", "numpy"],
+    ])
+    def test_removed_backend_options_are_usage_errors(self, argv, capsys):
+        """The process table build and the kernel switch are gone; their
+        spellings fail at argparse with its usage exit code."""
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--model", "rnnlm", "--p", "4", *argv])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestCLIExtensions:
     def test_export(self, tmp_path, capsys):
