@@ -7,11 +7,22 @@ with ``PASE_BENCH_OUT``):
 * **Warm-cache latency** — after one cold search, repeated identical
   requests must come straight from the persistent result cache; the
   HTTP round-trip p50 must stay under ``MAX_CACHED_P50_MS``.
-* **Worker scaling** — a burst of distinct problems (no coalescing, no
-  cache hits) through a ``SERVE_WORKERS``-worker server must reach at
-  least ``MIN_SPEEDUP``x the single-worker throughput; measured up to
-  ``ROUNDS`` times (fresh servers) before failing so one scheduler
-  hiccup cannot flake CI.
+* **Dispatch** — a burst of distinct problems (no coalescing, no cache
+  hits), measured up to ``ROUNDS`` times (fresh servers, best round
+  kept) before failing so one scheduler hiccup cannot flake CI:
+
+  - *overhead*: through a 1-worker server, burst wall per task minus
+    the mean worker ``elapsed_seconds`` (HTTP, fingerprinting,
+    dispatch, hand-off, reap) must stay under ``MAX_OVERHEAD_MS``;
+  - *parallelism*: through a ``SERVE_WORKERS``-worker server, the
+    workers' summed ``elapsed_seconds`` over the burst wall — searches
+    in flight on average — must reach ``MIN_PARALLEL_SHARE`` of
+    ``min(workers, cores)``.  A dispatcher that runs one search at a
+    time scores at most 1.
+
+  Throughput at 4 workers over 1 is recorded but not asserted: it is
+  capped by cores and swings with the host's load on a 2-core shared
+  VM, while summed worker seconds stretch with that contention.
 
 Needs no pytest-benchmark plugin, so CI can smoke it with the base test
 toolchain:
@@ -43,10 +54,13 @@ N_TASKS = 48 if FULL else 24
 #: Cached responses must answer under this round-trip p50.
 MAX_CACHED_P50_MS = 50.0
 
-#: The 4-worker server must beat 1 worker by at least this factor.
-MIN_SPEEDUP = 2.5
+#: 1-worker per-search overhead bound (ms) beyond the worker's seconds.
+MAX_OVERHEAD_MS = 15.0
 
-#: Fresh measurement rounds before the speedup assert fails.
+#: Share of min(workers, cores) searches the wide server keeps in flight.
+MIN_PARALLEL_SHARE = 0.6
+
+#: Fresh measurement rounds before the dispatch guards fail.
 ROUNDS = 3
 
 _RESULTS: dict[str, dict[str, float]] = {}
@@ -108,22 +122,29 @@ def _throughput(tmp_path, label, workers):
     docs = [{"model": "rnnlm", "p": 8, "seed": s} for s in range(N_TASKS)]
     warmup = [{"model": "rnnlm", "p": 8, "seed": 10_000 + s}
               for s in range(workers)]
+    tasks = tmp_path / label / "tasks"
     server = _start(tmp_path / label, workers)
     try:
         # One distinct problem per worker first, so process spawn and
         # graph warm-up are paid outside the timed window.
         _burst(server.server_port, warmup)
+        warm = set(os.listdir(tasks))
         wall = _burst(server.server_port, docs)
     finally:
         server.close()
-    per_minute = 60.0 * N_TASKS / wall
-    _RESULTS[label] = {
+    worker_seconds = sum(
+        json.loads((tasks / tid / "result.json").read_text())
+        ["elapsed_seconds"] for tid in set(os.listdir(tasks)) - warm)
+    run = {
         "tasks": N_TASKS,
         "workers": workers,
         "wall_seconds": round(wall, 4),
-        "searches_per_minute": round(per_minute, 2),
+        "searches_per_minute": round(60.0 * N_TASKS / wall, 2),
+        "mean_worker_seconds": round(worker_seconds / N_TASKS, 5),
+        "parallelism": round(worker_seconds / wall, 3),
     }
-    return per_minute
+    _RESULTS[label] = run
+    return run
 
 
 def test_warm_cache_p50(tmp_path):
@@ -155,27 +176,41 @@ def test_warm_cache_p50(tmp_path):
 
 
 def test_worker_scaling(tmp_path):
-    # Serial and fleet runs are measured as matched pairs per round so
-    # scheduler drift between rounds cannot skew the ratio.
-    speedup = 0.0
+    # Serial and wide runs are measured as matched pairs per round; the
+    # best overhead and the best parallelism over rounds are kept.
+    cores = len(os.sched_getaffinity(0))
+    floor = MIN_PARALLEL_SHARE * min(SERVE_WORKERS, cores)
+    overhead, parallelism, speedup = float("inf"), 0.0, 0.0
     rounds_used = 0
     for attempt in range(ROUNDS):
         rounds_used = attempt + 1
         serial = _throughput(tmp_path / f"r{attempt}", "workers_1",
                              workers=1)
-        fleet = _throughput(tmp_path / f"r{attempt}",
-                            f"workers_{SERVE_WORKERS}",
-                            workers=SERVE_WORKERS)
-        speedup = max(speedup, fleet / max(serial, 1e-9))
-        if speedup >= MIN_SPEEDUP:
+        wide = _throughput(tmp_path / f"r{attempt}",
+                           f"workers_{SERVE_WORKERS}",
+                           workers=SERVE_WORKERS)
+        overhead = min(overhead, round(1e3 * (
+            serial["wall_seconds"] / N_TASKS
+            - serial["mean_worker_seconds"]), 2))
+        parallelism = max(parallelism, wide["parallelism"])
+        speedup = max(speedup, wide["searches_per_minute"]
+                      / max(serial["searches_per_minute"], 1e-9))
+        if overhead <= MAX_OVERHEAD_MS and parallelism >= floor:
             break
     _RESULTS["scaling"] = {
         "width": SERVE_WORKERS,
+        "cores": cores,
         "speedup": round(speedup, 3),
-        "min_speedup": MIN_SPEEDUP,
+        "overhead_ms": overhead,
+        "max_overhead_ms": MAX_OVERHEAD_MS,
+        "parallelism": parallelism,
+        "min_parallelism": round(floor, 3),
         "rounds_used": float(rounds_used),
     }
-    assert speedup >= MIN_SPEEDUP, \
-        (f"{SERVE_WORKERS}-worker server reached only {speedup:.2f}x the "
-         f"1-worker throughput ({fleet:.1f} vs {serial:.1f} "
-         f"searches/min); floor is {MIN_SPEEDUP}x")
+    assert overhead <= MAX_OVERHEAD_MS, \
+        (f"1-worker server spends {overhead:.1f}ms per search beyond the "
+         f"worker's own seconds; bound is {MAX_OVERHEAD_MS}ms")
+    assert parallelism >= floor, \
+        (f"{SERVE_WORKERS}-worker server kept only {parallelism:.2f} "
+         f"searches in flight on average; floor is {floor:.2f} "
+         f"({MIN_PARALLEL_SHARE} x min(workers, {cores} cores))")

@@ -44,8 +44,8 @@ MANIFEST_VERSION = 1
 #: Every state a task slot can hold.
 TASK_STATES = ("pending", "running", "done", "quarantined")
 
-#: Minimum seconds between periodic snapshot writes (state transitions
-#: always flush immediately; this only throttles heartbeat-ish updates).
+#: Minimum seconds between snapshot writes of ``running``/``done``
+#: transitions inside a `FleetManifest.batch` (see there).
 FLUSH_INTERVAL_SECONDS = 0.5
 
 
@@ -58,28 +58,28 @@ class FleetManifest:
         self.state: dict[str, Any] | None = None
         self._last_flush = 0.0
         self._batching = False
-        self._batch_dirty = False
+        self._dirty = False        # transitions recorded, not yet written
+        self._urgent = False       # ... among them a failure
 
     @contextmanager
     def batch(self):
-        """Coalesce state-transition flushes into one snapshot write.
+        """Coalesce the transitions of one scheduler wake into at most
+        one snapshot write, made as the batch ends.
 
-        Inside the context every `flush` is deferred; leaving it writes
-        a single snapshot if anything changed.  The supervisor wraps
-        each poll-loop tick in this so a wide tick (N reaps + N
-        dispatches) costs one atomic write instead of 2N.  Crash
-        recovery is unaffected: a supervisor killed mid-tick resumes
-        from the previous snapshot, and any finished-but-unrecorded
-        tasks are re-adopted from their ``result.json`` files.
+        A failure (retry or quarantine) is always written then;
+        ``running`` and ``done`` at most every `FLUSH_INTERVAL_SECONDS`.
+        A crash that loses those loses nothing resume cannot rebuild:
+        running slots demote to pending and finished tasks are adopted
+        from ``result.json`` (a lost ``running`` costs at most one
+        extra attempt).
         """
         self._batching = True
         try:
             yield
         finally:
             self._batching = False
-            if self._batch_dirty:
-                self._batch_dirty = False
-                self.flush()
+            if self._dirty:
+                self.flush(force=self._urgent)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -148,19 +148,21 @@ class FleetManifest:
     def flush(self, *, force: bool = True) -> None:
         """Atomically persist the snapshot (temp + ``os.replace``).
 
-        ``force=False`` throttles to `FLUSH_INTERVAL_SECONDS` — used for
-        the supervisor's periodic loop writes; every state transition
-        flushes with ``force=True`` so crashes never lose a transition.
+        ``force=False`` skips the write when the last one is younger than
+        `FLUSH_INTERVAL_SECONDS` (the next batch retries it); outside a
+        batch every transition flushes with ``force=True``.
         """
         if self.state is None:
             return
         if self._batching:
-            self._batch_dirty = True
+            self._dirty = True
+            self._urgent = self._urgent or force
             return
         now = time.monotonic()
         if not force and now - self._last_flush < FLUSH_INTERVAL_SECONDS:
             return
         self._last_flush = now
+        self._dirty = self._urgent = False
         self.root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
@@ -186,14 +188,14 @@ class FleetManifest:
         rec["state"] = "running"
         rec["attempts"] = int(rec["attempts"]) + 1
         rec["pid"] = pid
-        self.flush()
+        self.flush(force=not self._batching)  # soft in a batch
 
     def mark_done(self, task_id: str, *, seconds: float) -> None:
         rec = self.task(task_id)
         rec["state"] = "done"
         rec["seconds"] = float(seconds)
         rec.pop("pid", None)
-        self.flush()
+        self.flush(force=not self._batching)
 
     def mark_failed(self, task_id: str, *, detail: str, kind: str,
                     max_attempts: int) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -53,7 +53,6 @@ class FleetReport:
     wall_seconds: float = 0.0
     searches_per_minute: float = 0.0
     workers: int = 0
-    pool: str = "spawn"
     workers_spawned: int = 0
     workers_reused: int = 0
     resumed: bool = False
@@ -95,30 +94,13 @@ def merge_results(fleet_dir: str | Path, tasks: "list[SweepTask]",
 
 def write_summary(fleet_dir: str | Path, report: FleetReport,
                   fingerprint: str) -> Path:
-    """Persist ``summary.json`` (atomic write)."""
+    """Persist ``summary.json``: every `FleetReport` field but the
+    paths, plus the spec fingerprint (atomic write)."""
     out = Path(fleet_dir) / "summary.json"
-    payload = {
-        "version": SUMMARY_VERSION,
-        "fingerprint": fingerprint,
-        "generated_at": time.time(),
-        "tasks_total": report.tasks_total,
-        "succeeded": report.succeeded,
-        "quarantined": report.quarantined,
-        "retries": report.retries,
-        "stragglers_killed": report.stragglers_killed,
-        "worker_crashes": report.worker_crashes,
-        "adopted": report.adopted,
-        "completed_this_run": report.completed_this_run,
-        "wall_seconds": report.wall_seconds,
-        "searches_per_minute": report.searches_per_minute,
-        "workers": report.workers,
-        "pool": report.pool,
-        "workers_spawned": report.workers_spawned,
-        "workers_reused": report.workers_reused,
-        "resumed": report.resumed,
-        "quarantined_tasks": report.quarantined_tasks,
-        "results": "results.jsonl",
-    }
+    payload = {k: v for k, v in asdict(report).items()
+               if not k.endswith("_path")}
+    payload.update(version=SUMMARY_VERSION, fingerprint=fingerprint,
+                   generated_at=time.time(), results="results.jsonl")
     atomic_write_text(out, json.dumps(payload, indent=2, sort_keys=True))
     return out
 
@@ -128,13 +110,10 @@ def format_fleet_report(report: FleetReport) -> str:
     lines = [
         f"fleet: {report.succeeded}/{report.tasks_total} tasks succeeded "
         f"({report.workers} workers, {report.wall_seconds:.1f}s, "
-        f"{report.searches_per_minute:.1f} searches/min)"
+        f"{report.searches_per_minute:.1f} searches/min)",
+        f"fleet: worker pool — {report.workers_spawned} process(es) "
+        f"forked, {report.workers_reused} warm reuse(s)",
     ]
-    if report.pool == "persistent":
-        lines.append(
-            f"fleet: persistent pool — {report.workers_spawned} "
-            f"process(es) forked, {report.workers_reused} warm "
-            "reuse(s)")
     if report.resumed:
         lines.append(
             f"fleet: resumed mid-sweep; {report.adopted} finished "

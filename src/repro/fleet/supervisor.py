@@ -1,22 +1,17 @@
 """The fleet supervisor: drain a sweep through self-healing workers.
 
 `FleetSupervisor.run` takes a `SweepSpec` and a fleet directory and
-drives every task to ``done`` or ``quarantined`` through a pool of
-single-task worker processes (`repro.fleet.worker`), surviving every
-failure mode the chaos suite can produce:
+drives every task to ``done`` or ``quarantined`` through the shared
+`Scheduler` core (`repro.fleet.scheduler`), which retries crashed
+attempts with backoff and SIGKILLs stragglers.  The supervisor keeps
+the sweep's policy:
 
-* **worker crash** (``os._exit``, OOM kill, segfault): the exit code
-  and missing result file mark a failed attempt; the task retries with
-  exponential backoff and deterministic jitter;
 * **poison task** (fails every attempt): after ``max_attempts`` total
   attempts it is *quarantined* — recorded with its last error in the
   manifest and summary, skipped by the merge, never fatal to the fleet;
-* **straggler / wedged worker**: a heartbeat older than
-  ``straggler_after`` gets the process SIGKILLed and the task
-  reassigned (counted, attempt burned);
-* **supervisor death**: every state transition is flushed atomically to
-  the `FleetManifest`, so ``kill -9`` mid-sweep loses at most the
-  in-flight attempts; ``--resume`` demotes them to pending, *adopts*
+* **supervisor death**: state transitions go to the `FleetManifest` as
+  atomic snapshots, so ``kill -9`` mid-sweep loses at most what resume
+  rebuilds; ``--resume`` demotes in-flight tasks to pending, *adopts*
   any finished results orphan workers left behind, and replays
   completed tasks from their result files without recomputing — the
   merged ``results.jsonl`` is byte-identical to an uninterrupted run;
@@ -34,10 +29,7 @@ gauge.
 
 from __future__ import annotations
 
-import multiprocessing
-import random
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -45,64 +37,22 @@ from ..obs.profile import metrics_of, tracer_of
 from ..runtime.budget import Cancellation, RunBudget
 from ..runtime.context import RunContext
 from .manifest import FleetManifest
-from .pool import WorkerPool
-from .report import FleetReport, format_fleet_report, merge_results, \
-    write_summary
+from .report import FleetReport, merge_results, write_summary
+from .scheduler import (DEFAULT_MAX_ATTEMPTS,
+                        DEFAULT_STRAGGLER_AFTER_SECONDS, Job, Scheduler,
+                        finished_result)
 from .spec import SweepSpec, SweepTask
-from .worker import (
-    prewarm_fork_template,
-    read_json,
-    task_dir,
-    worker_main,
-)
+from .worker import prewarm_fork_template
 
-__all__ = ["FleetSupervisor", "run_sweep", "DEFAULT_POOL",
-           "DEFAULT_MAX_ATTEMPTS", "DEFAULT_STRAGGLER_AFTER_SECONDS"]
-
-#: Worker management strategy: ``"persistent"`` reuses pre-forked
-#: processes across tasks (`repro.fleet.pool`); ``"spawn"`` forks a
-#: fresh process per task attempt (the original behaviour).
-DEFAULT_POOL = "persistent"
-POOL_MODES = ("spawn", "persistent")
-
-#: Total attempts a task gets before quarantine (first run + retries).
-DEFAULT_MAX_ATTEMPTS = 3
-
-#: Heartbeat age (seconds) past which a worker is declared a straggler.
-DEFAULT_STRAGGLER_AFTER_SECONDS = 60.0
+__all__ = ["FleetSupervisor", "run_sweep", "DEFAULT_MAX_ATTEMPTS",
+           "DEFAULT_STRAGGLER_AFTER_SECONDS"]
 
 #: Exponential-backoff base/cap for task retries (seconds).
 BACKOFF_BASE_SECONDS = 0.5
 BACKOFF_CAP_SECONDS = 30.0
 
-#: Supervisor loop poll period (seconds).
-POLL_INTERVAL_SECONDS = 0.05
-
 #: Grace period between SIGTERM and SIGKILL during shutdown.
 SHUTDOWN_GRACE_SECONDS = 2.0
-
-
-def _backoff(task_id: str, attempts: int, base: float, cap: float) -> float:
-    """Exponential backoff with deterministic per-(task, attempt) jitter.
-
-    Jitter decorrelates a thundering herd of simultaneous failures
-    (e.g. every worker dying when a shared filesystem hiccups) without
-    making test runs flaky — the same task/attempt always backs off the
-    same amount.
-    """
-    delay = min(cap, base * (2.0 ** max(attempts - 1, 0)))
-    jitter = random.Random(f"{task_id}:{attempts}").uniform(0.0, 0.5)
-    return delay * (1.0 + jitter)
-
-
-@dataclass
-class _InFlight:
-    """One running worker process as the supervisor tracks it."""
-
-    task: SweepTask
-    process: multiprocessing.Process
-    started: float                 # time.monotonic() at spawn
-    straggler_killed: bool = False
 
 
 class FleetSupervisor:
@@ -130,12 +80,6 @@ class FleetSupervisor:
         Fleet-level `RunContext`: cancellation token (pair with
         `trap_signals`), optional fleet-wide deadline, tracer/metrics.
         Per-task budgets are separate and built by the workers.
-    pool:
-        ``"persistent"`` (default) serves tasks from a pre-forked
-        reusable worker pool; ``"spawn"`` forks one process per task
-        attempt.  Failure semantics are identical: a failed attempt
-        always costs its process.  ``None`` falls back to
-        ``ctx.pool``, then `DEFAULT_POOL`.
     """
 
     def __init__(self, spec: SweepSpec, fleet_dir: str | Path, *,
@@ -145,8 +89,7 @@ class FleetSupervisor:
                  straggler_after: float = DEFAULT_STRAGGLER_AFTER_SECONDS,
                  backoff_base: float = BACKOFF_BASE_SECONDS,
                  backoff_cap: float = BACKOFF_CAP_SECONDS,
-                 ctx: RunContext | None = None,
-                 pool: str | None = None) -> None:
+                 ctx: RunContext | None = None) -> None:
         if workers < 1:
             raise ValueError(f"workers={workers} must be >= 1")
         if max_attempts < 1:
@@ -169,16 +112,7 @@ class FleetSupervisor:
                 budget=ctx.budget or RunBudget(),
                 cancellation=ctx.cancellation or Cancellation())
         self.ctx = ctx
-        resolved_pool = pool or ctx.pool or DEFAULT_POOL
-        if resolved_pool not in POOL_MODES:
-            raise ValueError(
-                f"pool={resolved_pool!r} must be one of {POOL_MODES}")
-        self.pool = resolved_pool
-        self._pool: WorkerPool | None = None
-        self._spawn_dispatches = 0
-        self._worker_spawned_counter: Any = None
         self.manifest = FleetManifest(self.fleet_dir)
-        self._mp = multiprocessing.get_context()
 
     # -- public entry point --------------------------------------------------
 
@@ -202,10 +136,7 @@ class FleetSupervisor:
                 self.spec.fingerprint(), list(by_id), resume=resume)
             if resumed:
                 self._adopt_orphan_results(by_id, tracer)
-            report = self._drain(by_id, tracer, metrics, t0)
-            report.resumed = resumed
-            report.workers = self.workers
-            report.manifest_path = str(self.manifest.path)
+            report = self._drain(by_id, tracer, metrics, t0, resumed)
             results = merge_results(self.fleet_dir, tasks, self.manifest)
             report.results_path = str(results)
             summary = write_summary(self.fleet_dir, report,
@@ -221,24 +152,16 @@ class FleetSupervisor:
                     report.searches_per_minute)
         return report
 
-    def summary(self, report: FleetReport) -> str:
-        return format_fleet_report(report)
-
     # -- resume adoption -----------------------------------------------------
 
     def _adopt_orphan_results(self, by_id: dict[str, SweepTask],
                               tracer) -> None:
-        """Adopt finished results the previous fleet never recorded.
-
-        A supervisor killed between a worker's atomic ``result.json``
-        write and the manifest's ``done`` flush — or whose orphaned
-        workers finished after it died — left completed work on disk.
-        Recognise it by task id (a content hash, so a matching file
-        *is* the right answer) instead of recomputing.
-        """
+        """Adopt finished results the previous fleet never recorded:
+        its workers may have finished after it died, or it died before
+        the manifest's ``done`` flush (see `finished_result`)."""
         for tid in self.manifest.in_state("pending"):
-            doc = read_json(task_dir(self.fleet_dir, tid) / "result.json")
-            if doc is None or doc.get("record", {}).get("task_id") != tid:
+            doc = finished_result(self.fleet_dir, tid)
+            if doc is None:
                 continue
             self.manifest.mark_done(
                 tid, seconds=float(doc.get("elapsed_seconds", 0.0)))
@@ -252,142 +175,29 @@ class FleetSupervisor:
     # -- the drain loop ------------------------------------------------------
 
     def _drain(self, by_id: dict[str, SweepTask], tracer, metrics,
-               t0: float) -> FleetReport:
-        running: dict[str, _InFlight] = {}
-        next_eligible: dict[str, float] = {}
-        completed_this_run = 0
+               t0: float, resumed: bool) -> FleetReport:
+        """Run every pending task to ``done`` or ``quarantined``; the
+        scheduler does the dispatching, this keeps the manifest."""
+        completed = 0
         task_seconds = metrics.histogram(
             "fleet_task_seconds", "wall seconds per completed fleet task")
-        spawned_total = metrics.counter(
-            "fleet_worker_spawned_total", "fleet worker processes forked")
-        reused_total = metrics.counter(
-            "fleet_worker_reused_total",
-            "fleet tasks served by an already-warm pool worker")
-        self._worker_spawned_counter = spawned_total
-        if self.pool == "persistent":
-            # Workers fork from this process: memos warmed here are
-            # inherited by every worker, so each distinct problem pays
-            # its first-touch cost exactly once fleet-wide.
-            prewarm_fork_template(
-                (by_id[tid] for tid in self.manifest.in_state("pending")
-                 if tid in by_id),
-                self.fleet_dir)
-            self._pool = WorkerPool(
-                mp_ctx=self._mp, fleet_dir=str(self.fleet_dir),
-                options={"task_deadline": self.task_deadline},
-                max_workers=self.workers,
-                on_spawn=spawned_total.inc, on_reuse=reused_total.inc)
-        try:
-            while True:
-                self._poll_control(running)
-                with self.manifest.batch():
-                    completed_this_run += self._reap(
-                        running, by_id, tracer, metrics, next_eligible,
-                        task_seconds)
-                    self._kill_stragglers(running, metrics)
-                    pending = self.manifest.in_state("pending")
-                    if not pending and not running:
-                        break
-                    self._dispatch(pending, running, by_id, next_eligible)
-                time.sleep(POLL_INTERVAL_SECONDS)
-        except BaseException:
-            self._shutdown(running)
-            raise
-        if self._pool is not None:
-            self._pool.shutdown(SHUTDOWN_GRACE_SECONDS)
-        return self._build_report(by_id, completed_this_run,
-                                  time.monotonic() - t0)
 
-    def _poll_control(self, running: dict[str, _InFlight]) -> None:
-        """Surface cancellation/deadline; `_drain`'s unwind path kills
-        the children before the error escapes."""
-        assert self.ctx.cancellation is not None
-        assert self.ctx.budget is not None
-        self.ctx.cancellation.check("fleet")
-        self.ctx.budget.check("fleet")
+        def on_result(job: Job, doc: dict) -> None:
+            nonlocal completed
+            seconds = time.monotonic() - job.started
+            self.manifest.mark_done(job.task_id, seconds=seconds)
+            task_seconds.observe(seconds)
+            metrics.counter("fleet_tasks_succeeded_total",
+                            "fleet tasks completed").inc()
+            with tracer.span("fleet.task", task=job.task.label,
+                             state="done", seconds_task=seconds,
+                             attempts=job.attempts):
+                pass
+            completed += 1
 
-    def _dispatch(self, pending: list[str], running: dict[str, _InFlight],
-                  by_id: dict[str, SweepTask],
-                  next_eligible: dict[str, float]) -> None:
-        now = time.monotonic()
-        for tid in pending:
-            if len(running) >= self.workers:
-                break
-            if tid in running or next_eligible.get(tid, 0.0) > now:
-                continue
-            task = by_id[tid]
-            attempt = int(self.manifest.task(tid)["attempts"])
-            tdir = task_dir(self.fleet_dir, tid)
-            tdir.mkdir(parents=True, exist_ok=True)
-            # Clear the previous attempt's heartbeat so staleness is
-            # always measured against *this* process.
-            (tdir / "heartbeat.json").unlink(missing_ok=True)
-            if self._pool is not None:
-                proc = self._pool.submit(tid, task.to_dict(), attempt + 1)
-            else:
-                proc = self._mp.Process(
-                    target=worker_main,
-                    args=(task.to_dict(), attempt + 1, str(self.fleet_dir),
-                          {"task_deadline": self.task_deadline}),
-                    name=f"fleet-worker-{tid}")
-                proc.start()
-                self._spawn_dispatches += 1
-                if self._worker_spawned_counter is not None:
-                    self._worker_spawned_counter.inc()
-            assert proc.pid is not None
-            self.manifest.mark_running(tid, pid=proc.pid)
-            running[tid] = _InFlight(task=task, process=proc, started=now)
-
-    def _reap(self, running: dict[str, _InFlight],
-              by_id: dict[str, SweepTask], tracer, metrics,
-              next_eligible: dict[str, float], task_seconds) -> int:
-        """Collect finished workers; returns tasks completed this call."""
-        done = 0
-        for tid in list(running):
-            flight = running[tid]
-            tdir = task_dir(self.fleet_dir, tid)
-            if self._pool is not None:
-                # Pool workers outlive their tasks, so completion is the
-                # atomic result.json write, not process exit; a dead
-                # process (burned on failure, straggler-SIGKILLed, real
-                # crash) is the failure signal, exactly as in spawn
-                # mode.  A valid result counts even from a process that
-                # died afterwards — same rule as orphan adoption.
-                result = read_json(tdir / "result.json")
-                attempt_ok = (result is not None and
-                              result.get("record", {}).get("task_id") == tid)
-                if flight.process.is_alive() and not attempt_ok:
-                    continue
-                if not flight.process.is_alive():
-                    flight.process.join()
-                exitcode = 0 if attempt_ok else flight.process.exitcode
-                self._pool.release(tid)
-            else:
-                if flight.process.is_alive():
-                    continue
-                flight.process.join()
-                exitcode = flight.process.exitcode
-                result = read_json(tdir / "result.json")
-                attempt_ok = (exitcode == 0 and result is not None
-                              and result.get("record", {}).get("task_id")
-                              == tid)
-            del running[tid]
-            seconds = time.monotonic() - flight.started
-            if attempt_ok:
-                self.manifest.mark_done(tid, seconds=seconds)
-                task_seconds.observe(seconds)
-                metrics.counter("fleet_tasks_succeeded_total",
-                                "fleet tasks completed").inc()
-                with tracer.span("fleet.task", task=flight.task.label,
-                                 state="done", seconds_task=seconds,
-                                 attempts=self.manifest.task(tid)["attempts"]):
-                    pass
-                done += 1
-                continue
-            kind, detail = self._failure_of(flight, exitcode, tdir)
-            attempts = int(self.manifest.task(tid)["attempts"])
+        def on_failure(job: Job, kind: str, detail: str) -> bool:
             state = self.manifest.mark_failed(
-                tid, detail=detail, kind=kind,
+                job.task_id, detail=detail, kind=kind,
                 max_attempts=self.max_attempts)
             if state == "quarantined":
                 metrics.counter("fleet_tasks_quarantined_total",
@@ -395,103 +205,74 @@ class FleetSupervisor:
             else:
                 metrics.counter("fleet_task_retries_total",
                                 "fleet task retry dispatches").inc()
-                next_eligible[tid] = time.monotonic() + _backoff(
-                    tid, attempts, self.backoff_base, self.backoff_cap)
-            with tracer.span("fleet.task", task=flight.task.label,
+            with tracer.span("fleet.task", task=job.task.label,
                              state=state, failure=kind,
-                             attempts=attempts):
+                             attempts=job.attempts):
                 pass
-        return done
+            return state == "pending"
 
-    @staticmethod
-    def _failure_of(flight: _InFlight, exitcode: int | None,
-                    tdir: Path) -> tuple[str, str]:
-        """Classify a failed attempt from the evidence left behind."""
-        if flight.straggler_killed:
-            return "straggler", "heartbeat went stale; worker SIGKILLed"
-        err = read_json(tdir / "error.json")
-        if exitcode == 1 and err is not None:
-            return (str(err.get("kind", "error")),
-                    f"{err.get('type', 'Exception')}: "
-                    f"{err.get('detail', '?')}")
-        return "crash", (f"worker died with exit code {exitcode} and no "
-                         "error report")
-
-    def _kill_stragglers(self, running: dict[str, _InFlight],
-                         metrics) -> None:
-        """SIGKILL workers whose heartbeat went stale; reap handles it."""
-        now = time.monotonic()
-        wall_now = time.time()
-        for tid, flight in running.items():
-            if not flight.process.is_alive() or flight.straggler_killed:
-                continue
-            age = now - flight.started
-            if age < self.straggler_after:
-                continue  # spawn grace: younger than the threshold
-            hb = read_json(task_dir(self.fleet_dir, tid) / "heartbeat.json")
-            hb_age = (wall_now - float(hb["time"])) if hb else age
-            if hb_age < self.straggler_after:
-                continue
-            flight.straggler_killed = True
-            metrics.counter("fleet_stragglers_killed_total",
-                            "straggling fleet workers SIGKILLed").inc()
-            flight.process.kill()
-
-    def _shutdown(self, running: dict[str, _InFlight]) -> None:
-        """TERM then KILL every child, flush the manifest, stay quiet."""
-        if self._pool is not None:
-            # The pool owns the processes: idle workers drain cleanly,
-            # busy ones are TERMed (their in-flight attempts die, same
-            # as spawn mode) and KILLed past the grace period.
-            self._pool.shutdown(SHUTDOWN_GRACE_SECONDS)
-        else:
-            for flight in running.values():
-                if flight.process.is_alive():
-                    flight.process.terminate()
-            deadline = time.monotonic() + SHUTDOWN_GRACE_SECONDS
-            for flight in running.values():
-                flight.process.join(max(0.0, deadline - time.monotonic()))
-                if flight.process.is_alive():
-                    flight.process.kill()
-                    flight.process.join()
-        # The in-flight attempts die with us; resume demotes their
-        # "running" slots back to pending.
-        self.manifest.flush()
-
-    # -- reporting -----------------------------------------------------------
-
-    def _build_report(self, by_id: dict[str, SweepTask],
-                      completed_this_run: int,
-                      wall_seconds: float) -> FleetReport:
+        pending = [by_id[tid] for tid in self.manifest.in_state("pending")]
+        # Workers fork from this process: memos warmed here are
+        # inherited by every worker, so each distinct problem pays its
+        # first-touch cost exactly once fleet-wide.
+        prewarm_fork_template(pending, self.fleet_dir)
+        sched = Scheduler(
+            self.fleet_dir, workers=self.workers,
+            options={"task_deadline": self.task_deadline},
+            backoff_base=self.backoff_base, backoff_cap=self.backoff_cap,
+            straggler_after=self.straggler_after,
+            on_result=on_result, on_failure=on_failure,
+            on_dispatch=lambda job: self.manifest.mark_running(
+                job.task_id, pid=job.process.pid),
+            on_straggler=lambda job: metrics.counter(
+                "fleet_stragglers_killed_total",
+                "straggling fleet workers SIGKILLed").inc(),
+            on_spawn=metrics.counter(
+                "fleet_worker_spawned_total",
+                "fleet worker processes forked").inc,
+            on_reuse=metrics.counter(
+                "fleet_worker_reused_total",
+                "fleet tasks served by an already-warm pool worker").inc)
+        for task in pending:
+            sched.add(Job(task, attempts=int(
+                self.manifest.task(task.task_id)["attempts"])))
+        assert self.ctx.budget is not None
+        try:
+            sched.run(self._poll_control, batch=self.manifest.batch,
+                      until_idle=True, deadline=(
+                          time.monotonic() + self.ctx.budget.remaining()))
+        finally:
+            # Drained or unwinding, the workers go and the manifest is
+            # written; resume re-runs attempts an interrupt killed.
+            sched.shutdown(SHUTDOWN_GRACE_SECONDS)
+            self.manifest.flush()
+        wall = time.monotonic() - t0
         counts = self.manifest.counts()
-        report = FleetReport(
-            tasks_total=len(by_id),
-            succeeded=counts["done"],
-            quarantined=counts["quarantined"],
-            retries=counts["retries"],
+        return FleetReport(
+            tasks_total=len(by_id), succeeded=counts["done"],
+            quarantined=counts["quarantined"], retries=counts["retries"],
             stragglers_killed=counts["stragglers_killed"],
             worker_crashes=counts["worker_crashes"],
             adopted=int(counts.get("adopted", 0)),
-            completed_this_run=completed_this_run,
-            wall_seconds=wall_seconds,
-            searches_per_minute=(
-                60.0 * completed_this_run / wall_seconds
-                if wall_seconds > 0 else 0.0),
-            pool=self.pool,
-            workers_spawned=(self._pool.spawned if self._pool is not None
-                             else self._spawn_dispatches),
-            workers_reused=(self._pool.reused if self._pool is not None
-                            else 0),
-        )
-        for tid in self.manifest.in_state("quarantined"):
-            rec = self.manifest.task(tid)
-            report.quarantined_tasks.append({
-                "task_id": tid,
-                "label": by_id[tid].label,
-                "attempts": rec["attempts"],
-                "last_error": rec.get("last_error"),
-            })
-        return report
+            completed_this_run=completed, wall_seconds=wall,
+            searches_per_minute=60.0 * completed / wall if wall > 0 else 0.0,
+            workers=self.workers, workers_spawned=sched.pool.spawned,
+            workers_reused=sched.pool.reused, resumed=resumed,
+            manifest_path=str(self.manifest.path),
+            quarantined_tasks=[
+                {"task_id": tid, "label": by_id[tid].label,
+                 "attempts": self.manifest.task(tid)["attempts"],
+                 "last_error": self.manifest.task(tid).get("last_error")}
+                for tid in self.manifest.in_state("quarantined")])
+
+    def _poll_control(self) -> bool:
+        """Surface cancellation/deadline; `_drain`'s unwind path kills
+        the children before the error escapes."""
+        assert self.ctx.cancellation is not None
+        assert self.ctx.budget is not None
+        self.ctx.cancellation.check("fleet")
+        self.ctx.budget.check("fleet")
+        return True
 
 
 def run_sweep(spec: SweepSpec, fleet_dir: str | Path, *,

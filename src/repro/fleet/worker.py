@@ -1,13 +1,13 @@
-"""The fleet worker: one process, one task, crash-only protocol.
+"""The fleet worker: one task attempt, crash-only protocol.
 
-Every dispatch runs :func:`worker_main` in a fresh child process.  The
-worker never talks to the supervisor over a pipe — pipes die with
-processes.  All communication is crash-safe files under the task's
+Every dispatch runs :func:`run_task_attempt` in a pool worker process
+(`repro.fleet.pool`).  Results never travel over a pipe — pipes die
+with processes.  All communication is crash-safe files under the task's
 directory ``<fleet_dir>/tasks/<task_id>/``:
 
 ``heartbeat.json``
     Re-written atomically every `HEARTBEAT_INTERVAL_SECONDS` by a
-    daemon thread.  A stale heartbeat is how the supervisor detects a
+    daemon thread.  A stale heartbeat is how the scheduler detects a
     wedged or silently-dead worker and reassigns the task.
 ``result.json``
     Written atomically on success; carries the deterministic ``record``
@@ -16,10 +16,10 @@ directory ``<fleet_dir>/tasks/<task_id>/``:
     (elapsed seconds, attempt number) kept *out* of the record so
     resumed and fresh sweeps merge bit-identically.
 ``error.json``
-    Written atomically on any caught failure, then the worker exits
-    non-zero.  A worker that dies without writing either file (SIGKILL,
-    ``os._exit``, segfault) is still handled: the supervisor sees the
-    exit code and the missing result.
+    Written atomically on any caught failure, with the attempt number,
+    then the worker exits non-zero.  A worker that dies without writing
+    either file (SIGKILL, ``os._exit``, segfault) is still handled: the
+    scheduler sees the dead process and the missing result.
 
 The search itself is a journalled `execute_search` under the task's own
 `RunContext` — per-task wall-clock deadline and memory budget — with
@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
-import sys
 import threading
 import time
 from pathlib import Path
@@ -53,7 +51,7 @@ from ..core.exceptions import (
 from ..obs.metrics import atomic_write_text
 from .spec import SweepTask
 
-__all__ = ["worker_main", "run_task_attempt", "prewarm_fork_template",
+__all__ = ["run_task_attempt", "prewarm_fork_template",
            "task_dir", "read_json",
            "HEARTBEAT_INTERVAL_SECONDS", "RESULT_VERSION"]
 
@@ -85,42 +83,31 @@ def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2))
 
 
-class _Heartbeat:
-    """Daemon thread atomically re-writing the task's heartbeat file."""
+def _start_heartbeat(path: Path, task_id: str,
+                     attempt: int) -> threading.Event:
+    """Re-write the task's heartbeat file atomically from a daemon
+    thread until the returned event is set."""
+    stop = threading.Event()
 
-    def __init__(self, path: Path, task_id: str, attempt: int) -> None:
-        self.path = path
-        self.task_id = task_id
-        self.attempt = attempt
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name=f"heartbeat-{task_id}")
+    def beat() -> None:
+        _write_json(path, {"task_id": task_id, "attempt": attempt,
+                           "pid": os.getpid(), "time": time.time()})
 
-    def _beat(self) -> None:
-        _write_json(self.path, {
-            "task_id": self.task_id,
-            "attempt": self.attempt,
-            "pid": os.getpid(),
-            "time": time.time(),
-        })
-
-    def _run(self) -> None:
-        while not self._stop.wait(HEARTBEAT_INTERVAL_SECONDS):
+    def run() -> None:
+        while not stop.wait(HEARTBEAT_INTERVAL_SECONDS):
             try:
-                self._beat()
+                beat()
             except OSError:  # pragma: no cover - disk full etc.
                 pass
 
-    def start(self) -> None:
-        self._beat()
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
+    beat()
+    threading.Thread(target=run, daemon=True,
+                     name=f"heartbeat-{task_id}").start()
+    return stop
 
 
 def _apply_chaos(task: SweepTask, attempt: int,
-                 heartbeat: _Heartbeat) -> None:
+                 stop_heartbeat: threading.Event) -> None:
     """Misbehave per the task's test-only chaos hook.
 
     ``attempts`` bounds which attempts misbehave (default: all of them,
@@ -139,7 +126,7 @@ def _apply_chaos(task: SweepTask, attempt: int,
     if kind == "hang":
         # A wedged worker: stop heartbeating, then sleep well past any
         # straggler threshold so the supervisor must SIGKILL us.
-        heartbeat.stop()
+        stop_heartbeat.set()
         time.sleep(float(chaos.get("seconds", 3600.0)))
 
 
@@ -280,21 +267,21 @@ def run_task_attempt(task_dict: Mapping[str, Any], attempt: int,
                      fleet_dir: str, options: Mapping[str, Any]) -> bool:
     """Run one task attempt over the file protocol; True on success.
 
-    The reusable core shared by the spawn-per-task `worker_main` and the
-    persistent pool's worker loop (`repro.fleet.pool`): heartbeat for
-    the duration, apply chaos, run the search, and leave exactly one of
-    ``result.json`` (success) or ``error.json`` (caught failure) behind.
+    What the pool's worker loop (`repro.fleet.pool`) runs per task:
+    heartbeat for the duration, apply chaos, run the search, and leave
+    exactly one of ``result.json`` (success) or ``error.json`` (caught
+    failure) behind.
     Task failures are *returned*, not raised — only process-killing
     faults (chaos ``os._exit``, a real crash) escape.
     """
     task = SweepTask.from_dict(dict(task_dict))
     tdir = task_dir(fleet_dir, task.task_id)
     tdir.mkdir(parents=True, exist_ok=True)
-    heartbeat = _Heartbeat(tdir / "heartbeat.json", task.task_id, attempt)
-    heartbeat.start()
+    stop_heartbeat = _start_heartbeat(tdir / "heartbeat.json",
+                                      task.task_id, attempt)
     t0 = time.perf_counter()
     try:
-        _apply_chaos(task, attempt, heartbeat)
+        _apply_chaos(task, attempt, stop_heartbeat)
         record = _run_task(task, attempt, Path(fleet_dir), options)
     except Exception as err:
         if isinstance(err, DeadlineExceededError):
@@ -311,7 +298,7 @@ def run_task_attempt(task_dict: Mapping[str, Any], attempt: int,
             "type": type(err).__name__,
             "detail": str(err),
         })
-        heartbeat.stop()
+        stop_heartbeat.set()
         return False
     _write_json(tdir / "result.json", {
         "version": RESULT_VERSION,
@@ -319,26 +306,6 @@ def run_task_attempt(task_dict: Mapping[str, Any], attempt: int,
         "attempt": attempt,
         "elapsed_seconds": time.perf_counter() - t0,
     })
-    heartbeat.stop()
+    stop_heartbeat.set()
     return True
 
-
-def worker_main(task_dict: Mapping[str, Any], attempt: int,
-                fleet_dir: str, options: Mapping[str, Any]) -> None:
-    """Child-process entry point: run one task, leave files, exit.
-
-    Exit codes: 0 success (``result.json`` written), 1 failure
-    (``error.json`` written); anything else means the process died
-    uncleanly and the supervisor treats it as a crash.
-    """
-    # The supervisor owns shutdown: ignore SIGINT (a terminal ^C hits
-    # the whole process group) so the fleet winds down through the
-    # supervisor's manifest flush, not through 50 dying children.  A
-    # forked child also inherits `trap_signals`' SIGTERM handler, which
-    # would flip a *copy* of the supervisor's token and keep running —
-    # restore the default so the supervisor's terminate() actually
-    # terminates.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    sys.exit(0 if run_task_attempt(task_dict, attempt, fleet_dir, options)
-             else 1)

@@ -59,10 +59,6 @@ class RunContext:
         `CostModel.build_tables`.  ``jobs`` accepts a worker count
         (``"auto"`` backend selection) or a backend spelling such as
         ``"serial"`` or ``"threads:4"``.
-    pool:
-        Fleet worker management: ``"persistent"`` (reuse pre-forked
-        workers across tasks) or ``"spawn"`` (one process per task
-        attempt).  ``None`` defers to the supervisor's default.
     checkpoint:
         Explicit cooperative-poll callable overriding the one composed
         from ``budget``/``cancellation``/``journal`` — used by code that
@@ -77,7 +73,6 @@ class RunContext:
     metrics: "Metrics | None" = None
     jobs: int | str | None = None
     cache: object | None = None
-    pool: str | None = None
     checkpoint: Callable[..., None] | None = None
 
     # -- derived accessors ---------------------------------------------------

@@ -1,13 +1,14 @@
 """The search engine behind the serve daemon.
 
-One `SearchEngine` owns a persistent `repro.fleet.pool.WorkerPool` and a
-single **dispatcher thread** that does *all* pool bookkeeping — submit,
-reap, straggler kill, retry, quarantine — exactly like the fleet
-supervisor's drain loop, while HTTP handler threads only enqueue work
-and wait on events.  Searches run in crash-isolated child processes over
-the fleet's file protocol (``result.json`` / ``error.json`` /
-``heartbeat.json`` under ``<state_dir>/tasks/<task_id>/``), so a search
-that segfaults, OOMs, or wedges never takes down the server.
+One `SearchEngine` owns a `repro.fleet.scheduler.Scheduler` — the same
+dispatch/reap core the fleet supervisor runs — on a single
+**dispatcher thread** that does *all* pool bookkeeping (submit, reap,
+straggler kill, retry, quarantine), while HTTP handler threads only
+enqueue work, wake the dispatcher, and wait on events.  Searches run in
+crash-isolated child processes over the fleet's file protocol
+(``result.json`` / ``error.json`` / ``heartbeat.json`` under
+``<state_dir>/tasks/<task_id>/``), so a search that segfaults, OOMs, or
+wedges never takes down the server.
 
 Request flow (handler thread side):
 
@@ -24,47 +25,32 @@ Request flow (handler thread side):
    or creates a new one, then waits on the flight's event with its own
    deadline.
 
-Dispatcher side, per flight: adopt an existing on-disk result if one
-matches (same rule as fleet resume adoption), else dispatch to a pool
-worker with the request's own ``task_deadline``; a failed attempt burns
-the worker process (crash isolation) and retries with deterministic
-backoff; ``max_attempts`` failures quarantine the fingerprint — every
-coalesced waiter gets the same structured 503, persisted so a restarted
-server refuses the poison problem without re-burning workers.
+Dispatcher side, per flight: adopt a matching on-disk result, else run
+it as a scheduler `Job` with the request's own ``task_deadline``;
+``max_attempts`` failures quarantine the fingerprint — every coalesced
+waiter gets the same structured 503, persisted so a restarted server
+refuses the poison problem without re-burning workers.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue
-import random
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
-from ..fleet.pool import WorkerPool
+from ..fleet.scheduler import (DEFAULT_MAX_ATTEMPTS,
+                               DEFAULT_STRAGGLER_AFTER_SECONDS, Job,
+                               Scheduler, finished_result)
 from ..fleet.spec import SweepTask
-from ..fleet.worker import read_json, task_dir
 from ..obs.metrics import NULL_METRICS
 from .coalesce import Quarantine, ResultCache
 from .wire import ServeError, ServeRequest
 
 __all__ = ["SearchEngine", "EngineResult", "DEFAULT_MAX_ATTEMPTS",
            "DEGRADE_LADDER"]
-
-#: Total attempts a fingerprint gets before quarantine (fleet default).
-DEFAULT_MAX_ATTEMPTS = 3
-
-#: Heartbeat age (seconds) past which a worker is SIGKILLed.
-DEFAULT_STRAGGLER_AFTER_SECONDS = 60.0
-
-#: Dispatcher loop poll period (seconds) — the fleet supervisor's
-#: cadence.  Searches run 0.1-10s, so dispatch latency is noise there,
-#: and cache hits never touch the dispatcher at all.
-POLL_INTERVAL_SECONDS = 0.05
 
 #: Retry backoff base/cap (seconds) — much tighter than the fleet's:
 #: a waiting HTTP client should not watch a 30s backoff ladder.
@@ -79,14 +65,6 @@ DEGRADE_LADDER = {"all": "divisors", "divisors": "pow2", "pow2": "pow2"}
 #: Bound on the process-local problem memo (distinct (model, machine,
 #: p, mode) cells kept hot for fast fingerprints).
 _PROBLEM_MEMO_MAX = 8
-
-
-def _backoff(task_id: str, attempts: int) -> float:
-    """Deterministic per-(task, attempt) backoff, fleet-style jitter."""
-    delay = min(BACKOFF_CAP_SECONDS,
-                BACKOFF_BASE_SECONDS * (2.0 ** max(attempts - 1, 0)))
-    jitter = random.Random(f"{task_id}:{attempts}").uniform(0.0, 0.5)
-    return delay * (1.0 + jitter)
 
 
 def quarantined_error(fingerprint: str, entry: Mapping[str, Any],
@@ -122,16 +100,8 @@ class _Flight:
     """One in-flight search shared by every coalesced waiter."""
 
     fingerprint: str
-    task: SweepTask
-    deadline: float | None                 # worker-side budget (seconds)
     event: threading.Event = field(default_factory=threading.Event)
-    waiters: int = 1
-    attempts: int = 0
     outcome: Any = None                    # EngineResult | ServeError
-    process: Any = None                    # pool process while running
-    started: float = 0.0                   # monotonic dispatch time
-    next_eligible: float = 0.0
-    straggler_killed: bool = False
 
 
 class SearchEngine:
@@ -170,24 +140,25 @@ class SearchEngine:
             raise ValueError(f"max_attempts={max_attempts} must be >= 1")
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        self.workers = workers
         self.max_attempts = max_attempts
-        self.default_deadline = default_deadline
         self.memory_budget = memory_budget
-        self.straggler_after = straggler_after
-        self.metrics = metrics
         self.cache = ResultCache(self.state_dir / "results.json")
         self.quarantine = Quarantine(self.state_dir / "quarantine.json")
         self._lock = threading.Lock()
         self._flights: dict[str, _Flight] = {}
-        self._inbox: "queue.Queue[_Flight]" = queue.Queue()
+        self._inbox: "queue.Queue[Job]" = queue.Queue()
         self._problems: dict = {}
         self._stop = threading.Event()
-        self._mp = multiprocessing.get_context()
-        self._pool = WorkerPool(
-            mp_ctx=self._mp, fleet_dir=str(self.state_dir),
+        self._sched = Scheduler(
+            self.state_dir, workers=workers,
             options={"task_deadline": default_deadline},
-            max_workers=workers,
+            backoff_base=BACKOFF_BASE_SECONDS,
+            backoff_cap=BACKOFF_CAP_SECONDS,
+            straggler_after=straggler_after,
+            on_result=self._on_result, on_failure=self._on_failure,
+            on_straggler=lambda job: metrics.counter(
+                "serve_stragglers_killed_total",
+                "straggling serve workers SIGKILLed").inc(),
             on_spawn=metrics.counter(
                 "serve_worker_spawned_total",
                 "serve pool worker processes forked").inc,
@@ -270,53 +241,42 @@ class SearchEngine:
             else self.normalize(request.task)
         fp = fingerprint if fingerprint is not None \
             else self.fingerprint_of(task)
-        rec = self.cached(fp)
-        if rec is not None:
-            return EngineResult(fingerprint=fp, record=rec, cached=True)
-        entry = self.quarantine.get(fp)
-        if entry is not None:
-            if request.degrade:
-                return self._execute_degraded(task, request.deadline)
-            raise quarantined_error(fp, entry, degradable=True)
-        flight, coalesced = self._join(fp, task, request.deadline)
-        try:
-            return self._await(flight, coalesced, request.deadline)
-        finally:
-            with self._lock:
-                flight.waiters -= 1
+        return self._answer(fp, task, request.deadline,
+                            degrade=request.degrade)
 
     def quarantine_snapshot(self) -> dict[str, dict]:
         return self.quarantine.snapshot()
 
-    # -- degradation ladder --------------------------------------------------
-
-    def _execute_degraded(self, task: SweepTask,
-                          deadline: float | None) -> EngineResult:
-        """Quarantined-problem fallback: resilient + coarsened mode."""
-        degraded_task = SweepTask(**{
-            **task.to_dict(),
-            "mode": DEGRADE_LADDER.get(task.mode, "pow2"),
-            "resilient": True,
-            "chaos": None,  # never degrade *into* an injected fault
-        })
-        fp = self.fingerprint_of(degraded_task)
+    def _answer(self, fp: str, task: SweepTask, deadline: float | None, *,
+                degrade: bool, degraded: bool = False) -> EngineResult:
+        """Cache, then quarantine (or its degradation rung), then the
+        coalesced in-flight search for ``fp``."""
         rec = self.cached(fp)
         if rec is not None:
             return EngineResult(fingerprint=fp, record=rec, cached=True,
-                                degraded=True)
+                                degraded=degraded)
         entry = self.quarantine.get(fp)
         if entry is not None:
-            raise quarantined_error(fp, entry, degradable=False)
-        flight, coalesced = self._join(fp, degraded_task, deadline)
-        try:
-            result = self._await(flight, coalesced, deadline)
-        finally:
-            with self._lock:
-                flight.waiters -= 1
-        result.degraded = True
-        return result
-
-    # -- coalescing ----------------------------------------------------------
+            if not degrade:
+                raise quarantined_error(fp, entry, degradable=not degraded)
+            # Quarantined-problem fallback: resilient + coarsened mode,
+            # never degrading *into* an injected fault.
+            task = SweepTask(**{**task.to_dict(),
+                                "mode": DEGRADE_LADDER.get(task.mode, "pow2"),
+                                "resilient": True, "chaos": None})
+            return self._answer(self.fingerprint_of(task), task, deadline,
+                                degrade=False, degraded=True)
+        flight, coalesced = self._join(fp, task, deadline)
+        if not flight.event.wait(timeout=deadline):
+            raise ServeError(
+                504, "deadline",
+                f"request deadline of {deadline:.1f}s expired; the "
+                "search continues and will be served from cache",
+                detail={"fingerprint": flight.fingerprint})
+        if isinstance(flight.outcome, ServeError):
+            raise flight.outcome
+        return replace(flight.outcome, coalesced=coalesced,
+                       degraded=degraded)
 
     def _join(self, fp: str, task: SweepTask,
               deadline: float | None) -> tuple[_Flight, bool]:
@@ -324,197 +284,77 @@ class SearchEngine:
         with self._lock:
             flight = self._flights.get(fp)
             if flight is not None:
-                flight.waiters += 1
                 self._coalesce_hits.inc()
                 return flight, True
-            flight = _Flight(
-                fingerprint=fp, task=task,
-                deadline=(deadline if deadline is not None
-                          else self.default_deadline))
-            self._flights[fp] = flight
-        self._inbox.put(flight)
+            flight = self._flights[fp] = _Flight(fp)
+        # The request's own deadline rides to the worker's RunBudget.
+        self._inbox.put(Job(task, owner=flight, options=(
+            None if deadline is None else {"task_deadline": deadline})))
+        self._sched.wake()
         return flight, False
-
-    def _await(self, flight: _Flight, coalesced: bool,
-               deadline: float | None) -> EngineResult:
-        if not flight.event.wait(timeout=deadline):
-            raise ServeError(
-                504, "deadline",
-                f"request deadline of {deadline:.1f}s expired; the "
-                "search continues and will be served from cache",
-                detail={"fingerprint": flight.fingerprint})
-        outcome = flight.outcome
-        if isinstance(outcome, ServeError):
-            raise outcome
-        assert isinstance(outcome, EngineResult)
-        return EngineResult(
-            fingerprint=outcome.fingerprint, record=outcome.record,
-            cached=outcome.cached, coalesced=coalesced,
-            attempts=outcome.attempts, degraded=outcome.degraded)
 
     # -- dispatcher thread (all pool bookkeeping lives here) -----------------
 
     def _run_dispatcher(self) -> None:
-        waiting: list[_Flight] = []
-        running: dict[str, _Flight] = {}
-        while not self._stop.is_set():
-            self._drain_inbox(waiting, running)
-            # Reap before dispatching so a worker freed this cycle picks
-            # up waiting work immediately instead of idling a full poll.
-            self._reap(running, waiting)
-            self._dispatch(waiting, running)
-            self._kill_stragglers(running)
-            with self._lock:
-                self._depth.set(len(waiting) + len(running))
-            time.sleep(POLL_INTERVAL_SECONDS)
+        self._sched.run(self._poll)
         # Forced shutdown: answer every remaining waiter rather than
         # leaving HTTP threads parked on events that will never fire.
-        self._drain_inbox(waiting, running)
+        self._poll()
         err = ServeError(503, "draining",
                          "server shut down before the search finished")
-        for flight in waiting + list(running.values()):
-            self._finish(flight, err, running)
+        for job in self._sched.waiting + list(self._sched.running.values()):
+            self._finish(job.owner, err)
 
-    def _drain_inbox(self, waiting: list[_Flight],
-                     running: dict[str, _Flight]) -> None:
+    def _poll(self) -> bool:
+        """Take new flights off the inbox; False once the engine stops."""
         while True:
             try:
-                flight = self._inbox.get_nowait()
+                job = self._inbox.get_nowait()
             except queue.Empty:
-                return
+                break
             # Adopt a finished result already on disk (server restart,
-            # prior fleet run on the same state dir) — same content-hash
-            # adoption rule as fleet resume; never touches the pool.
-            if not self._adopt(flight, running):
-                waiting.append(flight)
-
-    def _adopt(self, flight: _Flight,
-               running: dict[str, _Flight]) -> bool:
-        tid = flight.task.task_id
-        doc = read_json(task_dir(self.state_dir, tid) / "result.json")
-        if doc is None or doc.get("record", {}).get("task_id") != tid:
-            return False
-        self._succeed(flight, doc["record"], running)
-        return True
-
-    def _dispatch(self, waiting: list[_Flight],
-                  running: dict[str, _Flight]) -> None:
-        now = time.monotonic()
-        for flight in list(waiting):
-            if len(running) >= self.workers:
-                return
-            if flight.next_eligible > now:
-                continue
-            waiting.remove(flight)
-            tid = flight.task.task_id
-            tdir = task_dir(self.state_dir, tid)
-            tdir.mkdir(parents=True, exist_ok=True)
-            # Staleness is measured against *this* attempt's process.
-            (tdir / "heartbeat.json").unlink(missing_ok=True)
-            flight.attempts += 1
-            options = None
-            if flight.deadline is not None:
-                options = {"task_deadline": flight.deadline}
-            flight.process = self._pool.submit(
-                tid, flight.task.to_dict(), flight.attempts, options)
-            flight.started = now
-            flight.straggler_killed = False
-            running[flight.fingerprint] = flight
-
-    def _reap(self, running: dict[str, _Flight],
-              waiting: list[_Flight]) -> None:
-        for fp in list(running):
-            flight = running[fp]
-            tid = flight.task.task_id
-            tdir = task_dir(self.state_dir, tid)
-            # Pool workers outlive their tasks: completion is the atomic
-            # result.json write; a dead process without one is the
-            # failure signal (burned on error, SIGKILLed, real crash).
-            result = read_json(tdir / "result.json")
-            attempt_ok = (result is not None and
-                          result.get("record", {}).get("task_id") == tid)
-            if flight.process.is_alive() and not attempt_ok:
-                continue
-            if not flight.process.is_alive():
-                flight.process.join()
-            exitcode = 0 if attempt_ok else flight.process.exitcode
-            self._pool.release(tid)
-            del running[fp]
-            if attempt_ok:
-                with self._lock:
-                    self._searches.inc()
-                self._succeed(flight, result["record"], running)
-                continue
-            kind, detail = self._failure_of(flight, exitcode, tdir)
-            if kind == "crash":
-                with self._lock:
-                    self._crashes.inc()
-            if flight.attempts >= self.max_attempts:
-                entry = self.quarantine.add(
-                    fp, attempts=flight.attempts, kind=kind, detail=detail,
-                    label=flight.task.label)
-                with self._lock:
-                    self._quarantined.inc()
-                self._finish(flight,
-                             quarantined_error(fp, entry, degradable=True),
-                             running)
+            # prior fleet run on the same state dir) — the fleet's
+            # resume adoption rule; never touches the pool.
+            doc = finished_result(self.state_dir, job.task_id)
+            if doc is None:
+                self._sched.add(job)
             else:
-                with self._lock:
-                    self._retries.inc()
-                flight.next_eligible = time.monotonic() + _backoff(
-                    tid, flight.attempts)
-                waiting.append(flight)
+                self._succeed(job.owner, doc["record"], attempts=0)
+        self._depth.set(len(self._sched.waiting) + len(self._sched.running))
+        return not self._stop.is_set()
 
-    @staticmethod
-    def _failure_of(flight: _Flight, exitcode: int | None,
-                    tdir: Path) -> tuple[str, str]:
-        """Classify a failed attempt from the evidence left behind."""
-        if flight.straggler_killed:
-            return "straggler", "heartbeat went stale; worker SIGKILLed"
-        err = read_json(tdir / "error.json")
-        if err is not None and int(err.get("attempt", -1)) == flight.attempts:
-            return (str(err.get("kind", "error")),
-                    f"{err.get('type', 'Exception')}: "
-                    f"{err.get('detail', '?')}")
-        return "crash", (f"worker died with exit code {exitcode} and no "
-                         "error report")
+    # Scheduler callbacks: they run, and write their counters, on the
+    # dispatcher thread only.
 
-    def _kill_stragglers(self, running: dict[str, _Flight]) -> None:
-        now = time.monotonic()
-        wall_now = time.time()
-        for flight in running.values():
-            if not flight.process.is_alive() or flight.straggler_killed:
-                continue
-            age = now - flight.started
-            if age < self.straggler_after:
-                continue  # dispatch grace: younger than the threshold
-            hb = read_json(
-                task_dir(self.state_dir, flight.task.task_id)
-                / "heartbeat.json")
-            hb_age = (wall_now - float(hb["time"])) if hb else age
-            if hb_age < self.straggler_after:
-                continue
-            flight.straggler_killed = True
-            with self._lock:
-                self.metrics.counter(
-                    "serve_stragglers_killed_total",
-                    "straggling serve workers SIGKILLed").inc()
-            flight.process.kill()
+    def _on_result(self, job: Job, doc: dict) -> None:
+        self._searches.inc()
+        self._succeed(job.owner, doc["record"], attempts=job.attempts)
 
-    def _succeed(self, flight: _Flight, record: Mapping[str, Any],
-                 running: dict[str, _Flight]) -> None:
+    def _on_failure(self, job: Job, kind: str, detail: str) -> bool:
+        if kind == "crash":
+            self._crashes.inc()
+        if job.attempts < self.max_attempts:
+            self._retries.inc()
+            return True
+        flight = job.owner
+        entry = self.quarantine.add(
+            flight.fingerprint, attempts=job.attempts, kind=kind,
+            detail=detail, label=job.task.label)
+        self._quarantined.inc()
+        self._finish(flight, quarantined_error(
+            flight.fingerprint, entry, degradable=True))
+        return False
+
+    def _succeed(self, flight: _Flight, record: Mapping[str, Any], *,
+                 attempts: int) -> None:
         self.cache.put(flight.fingerprint, record)
-        self._finish(
-            flight,
-            EngineResult(fingerprint=flight.fingerprint, record=dict(record),
-                         attempts=flight.attempts),
-            running)
+        self._finish(flight, EngineResult(fingerprint=flight.fingerprint,
+                                          record=dict(record),
+                                          attempts=attempts))
 
-    def _finish(self, flight: _Flight, outcome: Any,
-                running: dict[str, _Flight]) -> None:
+    def _finish(self, flight: _Flight, outcome: Any) -> None:
         with self._lock:
             self._flights.pop(flight.fingerprint, None)
-        running.pop(flight.fingerprint, None)
         flight.outcome = outcome
         flight.event.set()
 
@@ -527,8 +367,9 @@ class SearchEngine:
         with a structured 503 so no waiter hangs forever.
         """
         self._stop.set()
+        self._sched.wake()
         self._dispatcher.join(timeout=max(grace, 5.0))
-        self._pool.shutdown(grace)
+        self._sched.shutdown(grace)
         self.cache.flush()
         self.quarantine.flush()
 

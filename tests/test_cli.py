@@ -62,6 +62,16 @@ class TestCLI:
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    def test_removed_sweep_pool_option_is_usage_error(self, tmp_path,
+                                                      capsys):
+        """Spawn-per-task sweeps are gone with their ``--pool`` switch."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--spec", str(tmp_path / "sweep.json"),
+                  "--fleet-dir", str(tmp_path / "fleet"),
+                  "--pool", "spawn"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestCLIExtensions:
     def test_export(self, tmp_path, capsys):
